@@ -30,6 +30,9 @@ echo "== batched MultiGet: batch suite =="
 echo "== 1-RMA speculative path: loccache suite =="
 (cd build && ctest --output-on-failure -L loccache)
 
+echo "== shared read pipeline: quorum suite =="
+(cd build && ctest --output-on-failure -L quorum)
+
 echo "== correlated-failure survival: disaster suite =="
 (cd build && ctest --output-on-failure -L disaster)
 
@@ -98,7 +101,7 @@ echo "== sanitizer (ASan/UBSan): build =="
 cmake -B build-asan -S . -DCM_SANITIZE=ON >/dev/null
 cmake --build build-asan -j
 
-echo "== sanitizer: chaos + resharding + health + tenancy + batch + loccache + disaster labels =="
-(cd build-asan && ctest --output-on-failure -j "$(nproc)" -L 'chaos|resharding|health|tenancy|batch|loccache|disaster')
+echo "== sanitizer: chaos + resharding + health + tenancy + batch + loccache + quorum + disaster labels =="
+(cd build-asan && ctest --output-on-failure -j "$(nproc)" -L 'chaos|resharding|health|tenancy|batch|loccache|quorum|disaster')
 
 echo "== all checks passed =="

@@ -6,6 +6,25 @@
 #include "cliquemap/compress.h"
 
 namespace cm::cliquemap {
+namespace {
+
+// Incast guard for the batched pipeline: at most this many in-flight
+// vectored ops per backend, and consecutive issues toward one backend paced
+// at least this far apart, so a large batch does not burst-solicit a host.
+constexpr int kBatchMaxInflightPerBackend = 2;
+constexpr sim::Duration kBatchIssueGap = sim::Microseconds(2);
+
+// Entry `j` of a vectored op's result: the whole-vector failure when the op
+// was lost, else the entry's own outcome.
+template <typename T>
+Status EntryStatus(const Status& whole,
+                   const std::vector<StatusOr<T>>& entries, size_t j) {
+  if (!whole.ok()) return whole;
+  if (j >= entries.size()) return InternalError("short read vector");
+  return entries[j].status();
+}
+
+}  // namespace
 
 Client::Client(net::Fabric& fabric, rpc::RpcNetwork& rpc_network,
                rma::RmaTransport* transport, truetime::TrueTime& truetime,
@@ -320,7 +339,6 @@ Client::OpContext Client::MakeContext(const GetOptions& opts,
 
 sim::Task<StatusOr<GetResult>> Client::Get(std::string key, GetOptions opts) {
   const sim::Time start = sim_.now();
-  if (opts.loccache_entries) loccache_.SetCapacity(*opts.loccache_entries);
   OpContext ctx = MakeContext(opts, trace::kNoSpan);
   ++stats_.gets;
   // RMA-plane policing: one-sided reads bypass the backend CPU, so the
@@ -356,17 +374,9 @@ sim::Task<StatusOr<GetResult>> Client::Get(std::string key, GetOptions opts) {
     result = co_await GetOnce(key, ctx);
     if (result.ok()) break;
     if (result.status().code() == StatusCode::kNotFound) {
-      // Dual-version window: a miss under the new topology may just be a
-      // record that hasn't streamed over from its previous owner yet —
-      // both generations answer reads while the window is open.
-      if (config_.prev_fallback && view_valid_ && view_.transition) {
-        auto prev = co_await PrevWindowGet(key, ctx);
-        if (prev.ok()) {
-          ++stats_.prev_window_gets;
-          result = std::move(prev);
-        }
-        break;  // hit via the previous owners, or absent in both topologies
-      }
+      // Dual-version window: the previous owners are consulted once, after
+      // the loop.
+      if (view_valid_ && view_.transition) break;
       // The topology moved underneath this attempt (a commit raced the
       // read): the absence verdict was formed against owners that may no
       // longer hold the key. Re-read under the fresh view instead of
@@ -418,8 +428,7 @@ sim::Task<StatusOr<GetResult>> Client::Get(std::string key, GetOptions opts) {
   // Any failure class qualifies: a clean miss, an inquorate vote, or a
   // deadline burned retrying against replicas that are still being seeded
   // all mean the same thing — the new owners cannot answer yet.
-  if (!result.ok() && config_.prev_fallback && view_valid_ &&
-      view_.transition) {
+  if (!result.ok() && view_valid_ && view_.transition) {
     auto prev = co_await PrevWindowGet(key, ctx);
     if (prev.ok()) {
       ++stats_.prev_window_gets;
@@ -488,7 +497,6 @@ sim::Task<MultiGetResult> Client::MultiGet(std::vector<std::string> keys,
   MultiGetResult out;
   if (keys.empty()) co_return out;  // no ops, no traffic, no counters
   ++stats_.multigets;
-  if (opts.loccache_entries) loccache_.SetCapacity(*opts.loccache_entries);
   out.results.reserve(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
     out.results.emplace_back(InternalError("unresolved"));
@@ -573,119 +581,60 @@ sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
   }
 
   const uint32_t n = view_.num_shards();
-  const int replicas = ReplicaCount(view_.mode);
   const int quorum = QuorumSize(view_.mode);
-  bool use_scar;
-  if (ctx.strategy == LookupStrategy::kScar) {
-    use_scar = true;
-  } else if (ctx.strategy == LookupStrategy::kTwoR) {
-    use_scar = false;
-  } else {
-    use_scar = transport_->SupportsScar();
-  }
+  const bool use_scar = ChooseScar(ctx.strategy);
 
   // Per-key pipeline state. A key leaves the pipeline as kDone (batch
   // resolved it) or kSlow (bounced to the single-key retry path, which owns
   // every hard case: torn reads, inquorate votes, deadline, prev-window).
   enum class Phase { kIndex, kData, kRpc, kSlow, kDone };
-  struct VersionTally {
-    VersionNumber version;
-    int count = 0;
-    IndexVote vote;  // first vote carrying this version
-  };
   struct KeyState {
     size_t slot = 0;
     Hash128 hash{};
     std::vector<uint32_t> targets;
-    std::vector<VersionTally> tallies;
-    int absence = 0;
-    bool overflow = false;
-    int failures = 0;
     Phase phase = Phase::kIndex;
-    IndexVote chosen;  // quorumed vote (data pointer / SCAR payload)
+    QuorumTally tally{0, 0};  // armed once the targets are connected
   };
   std::vector<KeyState> ks;
   ks.reserve(slots.size());
 
-  // Replica selection per key: GetOnce's policy (skip backed-off replicas;
-  // immutable R=2 consults one), minus outlier ejection — a shared vector
-  // op cannot eject per-key.
+  // Replica plan per key: the single-key plan minus outlier ejection — a
+  // shared vector op cannot eject per key.
   for (size_t slot : slots) {
     KeyState k;
     k.slot = slot;
     k.hash = config_.hash_fn(keys[slot]);
-    const uint32_t primary = PrimaryShard(k.hash, n);
-    for (int r = 0; r < replicas; ++r) {
-      const uint32_t shard = ReplicaShard(primary, r, n);
-      if (conns_.size() <= shard) conns_.resize(n);
-      if (conns_[shard].dead_until > sim_.now()) continue;
-      k.targets.push_back(shard);
-    }
-    if (view_.mode == ReplicationMode::kR2Immutable && k.targets.size() > 1) {
-      std::vector<uint32_t> healthy;
-      for (uint32_t shard : k.targets) {
-        const Conn& conn = conns_[shard];
-        if (conn.connected || !conn.ever_failed) healthy.push_back(shard);
-      }
-      if (!healthy.empty()) k.targets = std::move(healthy);
-      k.targets = {k.targets[config_.client_id % k.targets.size()]};
-    }
+    k.targets = SelectReplicas(PrimaryShard(k.hash, n));
     if (static_cast<int>(k.targets.size()) < quorum) k.phase = Phase::kSlow;
     ks.push_back(std::move(k));
   }
 
-  // Connect pass: one Info handshake per distinct unconnected shard
-  // (GetOnce's policy — first-time connects inline, reconnects to
-  // ever-failed replicas probed off the serving path).
+  // Connect pass: one handshake per distinct unconnected shard, in shard
+  // order so handshakes stay deterministic.
   {
-    std::map<uint32_t, bool> shard_ok;  // ordered → deterministic handshakes
+    std::map<uint32_t, bool> shard_ok;
     for (const KeyState& k : ks) {
       if (k.phase != Phase::kIndex) continue;
       for (uint32_t shard : k.targets) shard_ok.emplace(shard, false);
     }
     for (auto& [shard, ok] : shard_ok) {
-      if (shard >= conns_.size()) continue;  // cell shrank across an await
-      const Conn& conn = conns_[shard];
-      if (conn.connected && conn.config_id == view_.shard_config_ids[shard] &&
-          conn.host == view_.shard_hosts[shard]) {
-        ok = true;
-        continue;
+      const ConnStep step = PlanConnect(shard);
+      ok = step == ConnStep::kReady;
+      if (step == ConnStep::kHandshake) {
+        ok = (co_await EnsureConnected(shard)).ok();
       }
-      if (conn.ever_failed) {
-        if (!conn.probe_in_flight) {
-          conns_[shard].probe_in_flight = true;
-          sim_.Spawn([](Client* self, uint32_t shard,
-                        std::shared_ptr<bool> alive) -> sim::Task<void> {
-            (void)co_await self->EnsureConnected(shard);
-            if (*alive && shard < self->conns_.size()) {
-              self->conns_[shard].probe_in_flight = false;
-            }
-          }(this, shard, alive_));
-        }
-        continue;
-      }
-      ok = (co_await EnsureConnected(shard)).ok();
     }
     for (KeyState& k : ks) {
       if (k.phase != Phase::kIndex) continue;
-      std::vector<uint32_t> connected;
-      for (uint32_t shard : k.targets) {
-        if (shard_ok[shard]) connected.push_back(shard);
+      std::erase_if(k.targets,
+                    [&](uint32_t shard) { return !shard_ok[shard]; });
+      if (static_cast<int>(k.targets.size()) < quorum) {
+        k.phase = Phase::kSlow;
+      } else {
+        k.tally = QuorumTally(static_cast<int>(k.targets.size()), quorum);
       }
-      k.targets = std::move(connected);
-      if (static_cast<int>(k.targets.size()) < quorum) k.phase = Phase::kSlow;
     }
   }
-
-  // One backend's share of a vectored op (speculative, index, or data
-  // phase).
-  struct ShardBatch {
-    uint32_t shard = 0;
-    uint32_t ways = 0;
-    Status status;  // whole-vector outcome (lost command/completion)
-    std::vector<StatusOr<BufferView>> buckets;     // 2xR
-    std::vector<StatusOr<rma::ScarResult>> scars;  // SCAR
-  };
 
   // --- Speculative phase: location-cached keys are peeled out of the
   // batch plan into one vectored direct read per backend. A validated hit
@@ -700,28 +649,13 @@ sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
     };
     std::map<uint32_t, std::vector<SpecTarget>> spec_by_shard;
     for (size_t i = 0; i < ks.size(); ++i) {
-      KeyState& k = ks[i];
-      if (k.phase != Phase::kIndex) continue;
-      const CachedLocation* hit = loccache_.Lookup(k.hash, sim_.now());
-      if (hit == nullptr) continue;
-      const CachedLocation loc = *hit;
-      if (loc.shard >= conns_.size() || loc.shard >= view_.num_shards()) {
-        loccache_.Invalidate(k.hash);
-        continue;
+      if (ks[i].phase != Phase::kIndex) continue;
+      if (auto loc = LookupSpeculation(ks[i].hash)) {
+        spec_by_shard[loc->shard].push_back({i, *loc});
       }
-      const Conn& conn = conns_[loc.shard];
-      if (!conn.connected || conn.config_id != loc.config_id ||
-          conn.config_id != view_.shard_config_ids[loc.shard] ||
-          conn.host != view_.shard_hosts[loc.shard]) {
-        loccache_.Invalidate(k.hash);
-        continue;
-      }
-      spec_by_shard[loc.shard].push_back({i, loc});
     }
-    auto spec_results = std::make_shared<sim::Channel<ShardBatch>>(sim_);
-    int spec_ops = 0;
+    auto results = std::make_shared<sim::Channel<VectorResult>>(sim_);
     for (const auto& [shard, items] : spec_by_shard) {
-      const Conn conn = conns_[shard];  // copy: conns_ may be invalidated
       std::vector<rma::ReadVEntry> entries;
       entries.reserve(items.size());
       for (const SpecTarget& t : items) {
@@ -729,72 +663,25 @@ sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
             {t.loc.pointer.region, t.loc.pointer.offset, t.loc.pointer.size});
       }
       stats_.loccache_speculative_reads += static_cast<int64_t>(items.size());
-      sim_.Spawn([](Client* self, uint32_t shard, net::HostId target,
-                    std::vector<rma::ReadVEntry> entries, trace::SpanId span,
-                    std::shared_ptr<sim::Channel<ShardBatch>> results)
-                     -> sim::Task<void> {
-        co_await self->AcquireIssueSlot(shard);
-        self->stats_.issue_cpu_ns += self->config_.issue_cpu;
-        co_await self->fabric_.host(self->host_).cpu().Run(
-            self->config_.issue_cpu);
-        ShardBatch b;
-        b.shard = shard;
-        ++self->stats_.batch_vector_ops;
-        self->stats_.batch_vector_entries +=
-            static_cast<int64_t>(entries.size());
-        auto r = co_await self->transport_->ReadV(self->host_, target,
-                                                  std::move(entries), span);
-        if (r.ok()) {
-          b.buckets = *std::move(r);
-        } else {
-          b.status = r.status();
-        }
-        self->ReleaseIssueSlot(shard);
-        results->Send(std::move(b));
-      }(this, shard, conn.host, std::move(entries), ctx.span, spec_results));
-      ++spec_ops;
+      sim_.Spawn(IssueVector(shard, 0, conns_[shard].host, std::move(entries),
+                             {}, ctx.span, results));
     }
-    out->stats.coalesced_reads += spec_ops;
-    int spec_pending = spec_ops;
-    while (spec_pending > 0) {
-      const sim::Duration remaining = ctx.deadline_at - sim_.now();
-      if (remaining <= 0) break;
-      auto b = co_await spec_results->RecvFor(remaining);
-      if (!b) break;
-      --spec_pending;
-      stats_.validate_cpu_ns += config_.validate_cpu;
-      co_await fabric_.host(host_).cpu().Run(config_.validate_cpu);
+    int pending = static_cast<int>(spec_by_shard.size());
+    out->stats.coalesced_reads += pending;
+    while (auto b = co_await AwaitVector(*results, pending, ctx.deadline_at)) {
       const auto& items = spec_by_shard[b->shard];
       for (size_t j = 0; j < items.size(); ++j) {
         KeyState& k = ks[items[j].ki];
-        StatusOr<GetResult> res = InternalError("speculation unresolved");
-        if (!b->status.ok()) {
-          res = b->status;
-        } else if (j >= b->buckets.size()) {
-          res = InternalError("short read vector");
-        } else if (!b->buckets[j].ok()) {
-          res = b->buckets[j].status();
-        } else {
-          res = ValidateSpeculative(*b->buckets[j], keys[k.slot], k.hash,
-                                    items[j].loc.version);
-        }
-        if (res.ok()) {
-          spec_governor_.Record(true, sim_.now());
-          loccache_.RaiseVersionFloor(k.hash, res->version);
+        const Status read = EntryStatus(b->status, b->reads, j);
+        StatusOr<GetResult> res =
+            read.ok() ? ValidateSpeculative(*b->reads[j], keys[k.slot], k.hash,
+                                            items[j].loc.version)
+                      : StatusOr<GetResult>(read);
+        if (SettleSpeculation(k.hash, b->shard, res)) {
           out->results[k.slot] = std::move(res);
           k.phase = Phase::kDone;
-          continue;
         }
-        if (res.status().code() == StatusCode::kPermissionDenied) {
-          ++stats_.window_errors;
-          if (b->shard < conns_.size()) conns_[b->shard].connected = false;
-        } else if (res.status().code() == StatusCode::kDeadlineExceeded) {
-          ++stats_.op_timeouts;
-        }
-        ++stats_.loccache_speculative_failures;
-        spec_governor_.Record(false, sim_.now());
-        loccache_.Invalidate(k.hash);
-        // Phase stays kIndex: the key rejoins the quorum plan.
+        // Otherwise the phase stays kIndex: the key rejoins the quorum plan.
       }
     }
   }
@@ -809,281 +696,137 @@ sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
       by_shard[ks[i].targets[r]].push_back({i, static_cast<int>(r)});
     }
   }
-  auto index_results = std::make_shared<sim::Channel<ShardBatch>>(sim_);
-  int index_ops = 0;
+  auto index_results = std::make_shared<sim::Channel<VectorResult>>(sim_);
   for (const auto& [shard, items] : by_shard) {
-    const Conn conn = conns_[shard];  // copy: conns_ may be invalidated
-    std::vector<rma::ReadVEntry> rentries;
-    std::vector<rma::ScarVEntry> sentries;
+    const Conn& conn = conns_[shard];
+    const auto length = static_cast<uint32_t>(BucketBytes(conn.ways));
+    std::vector<rma::ReadVEntry> reads;
+    std::vector<rma::ScarVEntry> scars;
     for (const auto& [ki, replica] : items) {
-      const uint64_t bucket = BucketIndex(ks[ki].hash, conn.num_buckets);
-      const uint64_t offset = bucket * BucketBytes(conn.ways);
-      const auto length = static_cast<uint32_t>(BucketBytes(conn.ways));
+      const Hash128& hash = ks[ki].hash;
+      const uint64_t offset =
+          BucketIndex(hash, conn.num_buckets) * BucketBytes(conn.ways);
       if (use_scar) {
-        sentries.push_back({conn.index_region, offset, length,
-                            ks[ki].hash.hi, ks[ki].hash.lo});
+        scars.push_back({conn.index_region, offset, length, hash.hi, hash.lo});
       } else {
-        rentries.push_back({conn.index_region, offset, length});
+        reads.push_back({conn.index_region, offset, length});
       }
     }
-    sim_.Spawn([](Client* self, uint32_t shard, uint32_t ways,
-                  net::HostId target, std::vector<rma::ReadVEntry> rentries,
-                  std::vector<rma::ScarVEntry> sentries, bool use_scar,
-                  trace::SpanId span,
-                  std::shared_ptr<sim::Channel<ShardBatch>> results)
-                   -> sim::Task<void> {
-      co_await self->AcquireIssueSlot(shard);
-      self->stats_.issue_cpu_ns += self->config_.issue_cpu;
-      co_await self->fabric_.host(self->host_).cpu().Run(
-          self->config_.issue_cpu);
-      ShardBatch b;
-      b.shard = shard;
-      b.ways = ways;
-      ++self->stats_.batch_vector_ops;
-      if (use_scar) {
-        self->stats_.batch_vector_entries +=
-            static_cast<int64_t>(sentries.size());
-        auto r = co_await self->transport_->ScanAndReadV(
-            self->host_, target, std::move(sentries), span);
-        if (r.ok()) {
-          b.scars = *std::move(r);
-        } else {
-          b.status = r.status();
-        }
-      } else {
-        self->stats_.batch_vector_entries +=
-            static_cast<int64_t>(rentries.size());
-        auto r = co_await self->transport_->ReadV(
-            self->host_, target, std::move(rentries), span);
-        if (r.ok()) {
-          b.buckets = *std::move(r);
-        } else {
-          b.status = r.status();
-        }
-      }
-      self->ReleaseIssueSlot(shard);
-      results->Send(std::move(b));
-    }(this, shard, conn.ways, conn.host, std::move(rentries),
-      std::move(sentries), use_scar, ctx.span, index_results));
-    ++index_ops;
+    sim_.Spawn(IssueVector(shard, conn.ways, conn.host, std::move(reads),
+                           std::move(scars), ctx.span, index_results));
   }
-  out->stats.backends_contacted = static_cast<int>(by_shard.size());
-  out->stats.coalesced_reads += index_ops;
+  int index_pending = static_cast<int>(by_shard.size());
+  out->stats.backends_contacted = index_pending;
+  out->stats.coalesced_reads += index_pending;
 
-  // Apply one replica's vote to its key's quorum state — the same decision
-  // table GetOnce runs, except every dead end routes to kSlow/kRpc instead
-  // of failing an op.
-  auto apply_vote = [&](KeyState& k, IndexVote vote) {
-    if (k.phase != Phase::kIndex) return;
-    if (!vote.status.ok()) {
-      ++k.failures;
-      const StatusCode code = vote.status.code();
-      if (code == StatusCode::kPermissionDenied) {
-        ++stats_.window_errors;
-        if (vote.shard < conns_.size()) {
-          conns_[vote.shard].connected = false;  // re-handshake next attempt
+  while (auto b = co_await AwaitVector(*index_results, index_pending,
+                                       ctx.deadline_at)) {
+    const auto& items = by_shard[b->shard];
+    for (size_t j = 0; j < items.size(); ++j) {
+      KeyState& k = ks[items[j].first];
+      if (k.phase != Phase::kIndex) continue;  // already decided
+      IndexVote vote;
+      vote.replica = items[j].second;
+      vote.shard = b->shard;
+      if (use_scar) {
+        vote.status = EntryStatus(b->status, b->scars, j);
+        if (vote.status.ok()) {
+          vote.status = DecodeBucketVote(b->scars[j]->bucket, b->shard, k.hash,
+                                         b->ways, &vote);
+          if (vote.status.ok()) vote.scar_data = std::move(b->scars[j]->data);
         }
-      } else if (code == StatusCode::kUnavailable ||
-                 code == StatusCode::kUnimplemented) {
-        NoteReplicaFailure(vote.shard);
-      } else if (code == StatusCode::kDeadlineExceeded) {
-        ++stats_.op_timeouts;
+      } else {
+        vote.status = EntryStatus(b->status, b->reads, j);
+        if (vote.status.ok()) {
+          vote.status = DecodeBucketVote(*b->reads[j], b->shard, k.hash,
+                                         b->ways, &vote);
+        }
       }
-      if (static_cast<int>(k.targets.size()) - k.failures < quorum) {
-        k.phase = Phase::kSlow;  // quorum impossible this round
-      }
-      return;
-    }
-    if (!vote.has_entry) {
-      ++k.absence;
-      k.overflow |= vote.overflow;
-      if (k.absence >= quorum) {
-        loccache_.Invalidate(k.hash);  // misses are never cached
-        if (k.overflow && config_.follow_overflow_fallback) {
+      // Every dead end routes to the slow path (or the batched RPC) instead
+      // of failing the key.
+      const QuorumTally::Verdict verdict =
+          CountVote(k.tally, std::move(vote), k.hash);
+      if (verdict == QuorumTally::Verdict::kQuorum) {
+        k.phase = Phase::kData;
+      } else if (verdict == QuorumTally::Verdict::kAbsence) {
+        if (k.tally.overflow()) {
           k.phase = Phase::kRpc;  // bucket overflow: RPC-servable (§4.2)
         } else {
           out->results[k.slot] = NotFoundError("absence quorum");
           k.phase = Phase::kDone;
         }
+      } else if (verdict != QuorumTally::Verdict::kPending) {
+        k.phase = Phase::kSlow;  // quorum impossible, or inquorate
       }
-      return;
-    }
-    VersionTally* vt = nullptr;
-    for (auto& t : k.tallies) {
-      if (t.version == vote.entry.version) {
-        vt = &t;
-        break;
-      }
-    }
-    if (vt == nullptr) {
-      k.tallies.push_back(VersionTally{vote.entry.version, 0, vote});
-      vt = &k.tallies.back();
-    }
-    ++vt->count;
-    if (vt->count >= quorum) {
-      k.chosen = std::move(vt->vote);
-      k.phase = Phase::kData;
-    }
-  };
-
-  int pending = index_ops;
-  while (pending > 0) {
-    const sim::Duration remaining = ctx.deadline_at - sim_.now();
-    if (remaining <= 0) break;
-    auto b = co_await index_results->RecvFor(remaining);
-    if (!b) break;
-    --pending;
-    // Validation CPU is charged once per vector, not once per key — the
-    // second half of the batching amortization.
-    stats_.validate_cpu_ns += config_.validate_cpu;
-    co_await fabric_.host(host_).cpu().Run(config_.validate_cpu);
-    const auto& items = by_shard[b->shard];
-    for (size_t j = 0; j < items.size(); ++j) {
-      KeyState& k = ks[items[j].first];
-      IndexVote vote;
-      vote.replica = items[j].second;
-      vote.shard = b->shard;
-      if (!b->status.ok()) {
-        vote.status = b->status;
-      } else if (use_scar) {
-        if (j >= b->scars.size()) {
-          vote.status = InternalError("short scar vector");
-        } else if (!b->scars[j].ok()) {
-          vote.status = b->scars[j].status();
-        } else {
-          vote.status = DecodeBucketVote(b->scars[j]->bucket, b->shard,
-                                         k.hash, b->ways, &vote);
-          if (vote.status.ok()) vote.scar_data = std::move(b->scars[j]->data);
-        }
-      } else {
-        if (j >= b->buckets.size()) {
-          vote.status = InternalError("short read vector");
-        } else if (!b->buckets[j].ok()) {
-          vote.status = b->buckets[j].status();
-        } else {
-          vote.status = DecodeBucketVote(*b->buckets[j], b->shard, k.hash,
-                                         b->ways, &vote);
-        }
-      }
-      apply_vote(k, std::move(vote));
     }
   }
   for (KeyState& k : ks) {
-    // Deadline, lost vector, or all votes in with no quorum (mixed versions
-    // under churn): the single-key path owns the retry/backoff dance.
+    // Deadline or lost vector: the single-key path owns the retry/backoff
+    // dance.
     if (k.phase == Phase::kIndex) k.phase = Phase::kSlow;
   }
 
   // --- Data phase. SCAR piggybacked the DataEntry bytes; validate in
   // place. 2xR issues one more vectored read per backend holding quorumed
-  // pointers. ---
+  // pointers. A validated hit (or a full-key collision miss) resolves the
+  // key; a torn read retries cleanly on the slow path. ---
+  auto settle_data = [&](KeyState& k, const BufferView& blob) {
+    const IndexVote& chosen = k.tally.winner();
+    auto r = ValidateData(blob, keys[k.slot], k.hash, chosen.entry.version);
+    if (r.ok() || r.status().code() == StatusCode::kNotFound) {
+      if (r.ok()) CacheWinningVote(k.hash, chosen, ctx);
+      out->results[k.slot] = std::move(r);
+      k.phase = Phase::kDone;
+    } else {
+      k.phase = Phase::kSlow;
+    }
+  };
   if (use_scar) {
     for (KeyState& k : ks) {
       if (k.phase != Phase::kData) continue;
-      if (k.chosen.scar_data.empty()) {
+      if (k.tally.winner().scar_data.empty()) {
         ++stats_.torn_reads;  // pointer raced an eviction/mutation
         k.phase = Phase::kSlow;
         continue;
       }
-      auto r = ValidateData(k.chosen.scar_data, keys[k.slot], k.hash,
-                            k.chosen.entry.version);
-      if (r.ok() || r.status().code() == StatusCode::kNotFound) {
-        if (r.ok()) CacheWinningVote(k.hash, k.chosen, ctx);
-        out->results[k.slot] = std::move(r);
-        k.phase = Phase::kDone;
-      } else {
-        k.phase = Phase::kSlow;  // torn read: retry cleanly
-      }
+      settle_data(k, k.tally.winner().scar_data);
     }
   } else {
     std::map<uint32_t, std::vector<size_t>> data_by_shard;
     for (size_t i = 0; i < ks.size(); ++i) {
       if (ks[i].phase == Phase::kData) {
-        data_by_shard[ks[i].chosen.shard].push_back(i);
+        data_by_shard[ks[i].tally.winner().shard].push_back(i);
       }
     }
-    auto data_results = std::make_shared<sim::Channel<ShardBatch>>(sim_);
-    int data_ops = 0;
+    auto results = std::make_shared<sim::Channel<VectorResult>>(sim_);
+    int pending = 0;
     for (const auto& [shard, items] : data_by_shard) {
       if (shard >= conns_.size() || !conns_[shard].connected) {
         for (size_t i : items) ks[i].phase = Phase::kSlow;
         continue;
       }
-      const Conn conn = conns_[shard];
       std::vector<rma::ReadVEntry> entries;
       entries.reserve(items.size());
       for (size_t i : items) {
-        const IndexEntry& e = ks[i].chosen.entry;
-        entries.push_back({e.pointer.region, e.pointer.offset, e.pointer.size});
+        const Pointer& p = ks[i].tally.winner().entry.pointer;
+        entries.push_back({p.region, p.offset, p.size});
       }
-      sim_.Spawn([](Client* self, uint32_t shard, net::HostId target,
-                    std::vector<rma::ReadVEntry> entries, trace::SpanId span,
-                    std::shared_ptr<sim::Channel<ShardBatch>> results)
-                     -> sim::Task<void> {
-        co_await self->AcquireIssueSlot(shard);
-        self->stats_.issue_cpu_ns += self->config_.issue_cpu;
-        co_await self->fabric_.host(self->host_).cpu().Run(
-            self->config_.issue_cpu);
-        ShardBatch b;
-        b.shard = shard;
-        ++self->stats_.batch_vector_ops;
-        self->stats_.batch_vector_entries +=
-            static_cast<int64_t>(entries.size());
-        auto r = co_await self->transport_->ReadV(self->host_, target,
-                                                  std::move(entries), span);
-        if (r.ok()) {
-          b.buckets = *std::move(r);
-        } else {
-          b.status = r.status();
-        }
-        self->ReleaseIssueSlot(shard);
-        results->Send(std::move(b));
-      }(this, shard, conn.host, std::move(entries), ctx.span, data_results));
-      ++data_ops;
+      sim_.Spawn(IssueVector(shard, 0, conns_[shard].host, std::move(entries),
+                             {}, ctx.span, results));
+      ++pending;
     }
-    out->stats.coalesced_reads += data_ops;
-    int data_pending = data_ops;
-    while (data_pending > 0) {
-      const sim::Duration remaining = ctx.deadline_at - sim_.now();
-      if (remaining <= 0) break;
-      auto b = co_await data_results->RecvFor(remaining);
-      if (!b) break;
-      --data_pending;
-      stats_.validate_cpu_ns += config_.validate_cpu;
-      co_await fabric_.host(host_).cpu().Run(config_.validate_cpu);
+    out->stats.coalesced_reads += pending;
+    while (auto b = co_await AwaitVector(*results, pending, ctx.deadline_at)) {
       const auto& items = data_by_shard[b->shard];
       for (size_t j = 0; j < items.size(); ++j) {
         KeyState& k = ks[items[j]];
         if (k.phase != Phase::kData) continue;
-        Status slot_status = b->status;
-        if (slot_status.ok()) {
-          if (j >= b->buckets.size()) {
-            slot_status = InternalError("short read vector");
-          } else if (!b->buckets[j].ok()) {
-            slot_status = b->buckets[j].status();
-          }
-        }
-        if (!slot_status.ok()) {
-          if (slot_status.code() == StatusCode::kPermissionDenied) {
-            ++stats_.window_errors;
-            if (b->shard < conns_.size()) {
-              conns_[b->shard].connected = false;
-            }
-          } else if (slot_status.code() == StatusCode::kDeadlineExceeded) {
-            ++stats_.op_timeouts;
-          }
+        if (Status s = EntryStatus(b->status, b->reads, j); !s.ok()) {
+          NoteReadFault(s, b->shard);
           k.phase = Phase::kSlow;
           continue;
         }
-        auto r = ValidateData(*b->buckets[j], keys[k.slot], k.hash,
-                              k.chosen.entry.version);
-        if (r.ok() || r.status().code() == StatusCode::kNotFound) {
-          if (r.ok()) CacheWinningVote(k.hash, k.chosen, ctx);
-          out->results[k.slot] = std::move(r);
-          k.phase = Phase::kDone;
-        } else {
-          k.phase = Phase::kSlow;
-        }
+        settle_data(k, *b->reads[j]);
       }
     }
     for (KeyState& k : ks) {
@@ -1209,22 +952,23 @@ sim::Task<void> Client::AcquireIssueSlot(uint32_t shard) {
   IssueGate& gate = issue_gates_[shard];
   if (!gate.slots) {
     gate.slots = std::make_shared<sim::Channel<bool>>(sim_);
-    const int cap = std::max(1, config_.batch_max_inflight_per_backend);
-    for (int i = 0; i < cap; ++i) gate.slots->Send(true);
+    for (int i = 0; i < kBatchMaxInflightPerBackend; ++i) {
+      gate.slots->Send(true);
+    }
   }
   auto slots = gate.slots;  // keep alive across the await
   if (slots->empty()) ++stats_.batch_inflight_waits;
   (void)co_await slots->Recv();
   // Pace consecutive issues toward the same backend: each issue reserves
-  // the next batch_issue_gap-wide slot on the shard's pacing clock.
+  // the next kBatchIssueGap-wide slot on the shard's pacing clock.
   IssueGate& g = issue_gates_[shard];
   const sim::Time now = sim_.now();
   if (g.next_issue_at > now) {
     const sim::Duration wait = g.next_issue_at - now;
-    g.next_issue_at += config_.batch_issue_gap;
+    g.next_issue_at += kBatchIssueGap;
     co_await sim_.Delay(wait);
   } else {
-    g.next_issue_at = now + config_.batch_issue_gap;
+    g.next_issue_at = now + kBatchIssueGap;
   }
 }
 
@@ -1239,7 +983,6 @@ sim::Task<StatusOr<GetResult>> Client::GetOnce(const std::string& key,
                                                const OpContext& ctx) {
   const uint32_t n = view_.num_shards();
   if (n == 0) co_return UnavailableError("empty cell");
-  const int replicas = ReplicaCount(view_.mode);
   const int quorum = QuorumSize(view_.mode);
   const uint32_t primary = PrimaryShard(ctx.hash, n);
 
@@ -1248,14 +991,7 @@ sim::Task<StatusOr<GetResult>> Client::GetOnce(const std::string& key,
   if (ctx.strategy == LookupStrategy::kRpc || transport_ == nullptr) {
     co_return co_await GetViaRpc(key, primary, ctx);
   }
-  bool use_scar;
-  if (ctx.strategy == LookupStrategy::kScar) {
-    use_scar = true;
-  } else if (ctx.strategy == LookupStrategy::kTwoR) {
-    use_scar = false;
-  } else {
-    use_scar = transport_->SupportsScar();
-  }
+  const bool use_scar = ChooseScar(ctx.strategy);
 
   // 1-RMA fast path: a location-cache hit answers with one direct data
   // read, fully validated end-to-end; anything short of a validated hit
@@ -1271,60 +1007,20 @@ sim::Task<StatusOr<GetResult>> Client::GetOnce(const std::string& key,
     }
   }
 
-  // Select live replicas (immutable R=2 consults one; failover handles the
-  // rest, §6.4).
-  std::vector<uint32_t> targets;
-  for (int r = 0; r < replicas; ++r) {
-    const uint32_t shard = ReplicaShard(primary, r, n);
-    if (conns_.size() <= shard) conns_.resize(n);
-    if (conns_[shard].dead_until > sim_.now()) continue;
-    targets.push_back(shard);
-  }
-  if (view_.mode == ReplicationMode::kR2Immutable && targets.size() > 1) {
-    // Only one replica need be consulted; spread load by client id, but
-    // prefer replicas without a recent connection failure (failover, §6.4).
-    std::vector<uint32_t> healthy;
-    for (uint32_t shard : targets) {
-      const Conn& conn = conns_[shard];
-      if (conn.connected || !conn.ever_failed) healthy.push_back(shard);
-    }
-    if (!healthy.empty()) targets = std::move(healthy);
-    targets = {targets[config_.client_id % targets.size()]};
-  }
+  std::vector<uint32_t> targets = SelectReplicas(primary);
   if (static_cast<int>(targets.size()) < quorum) {
     co_return UnavailableError("not enough live replicas");
   }
-
-  // Connect any unconnected target (RPC Info handshake). First-time
-  // connections happen inline; *re*-connections to replicas that failed
-  // before are probed off the serving path ("clients only send two out of
-  // three operations per GET, as they await reconnect", §7.2.3) so a dead
-  // replica's connect timeout never blocks a quorum read.
   {
     std::vector<uint32_t> connected;
     connected.reserve(targets.size());
     for (uint32_t shard : targets) {
-      const Conn& conn = conns_[shard];
-      if (conn.connected && conn.config_id == view_.shard_config_ids[shard] &&
-          conn.host == view_.shard_hosts[shard]) {
-        connected.push_back(shard);
-        continue;
+      const ConnStep step = PlanConnect(shard);
+      bool ok = step == ConnStep::kReady;
+      if (step == ConnStep::kHandshake) {
+        ok = (co_await EnsureConnected(shard)).ok();
       }
-      if (conn.ever_failed) {
-        if (!conn.probe_in_flight) {
-          conns_[shard].probe_in_flight = true;
-          sim_.Spawn([](Client* self, uint32_t shard,
-                        std::shared_ptr<bool> alive) -> sim::Task<void> {
-            (void)co_await self->EnsureConnected(shard);
-            if (*alive && shard < self->conns_.size()) {
-              self->conns_[shard].probe_in_flight = false;
-            }
-          }(this, shard, alive_));
-        }
-        continue;
-      }
-      Status s = co_await EnsureConnected(shard);
-      if (s.ok()) connected.push_back(shard);
+      if (ok) connected.push_back(shard);
     }
     targets = std::move(connected);
     if (static_cast<int>(targets.size()) < quorum) {
@@ -1369,186 +1065,253 @@ sim::Task<StatusOr<GetResult>> Client::GetOnce(const std::string& key,
                           ctx));
   }
 
-  struct VersionCount {
-    int count = 0;
-    IndexVote vote;    // a representative quorum member
-    IndexVote second;  // a second member, the hedge target (set at count 2)
-  };
-  std::vector<std::pair<VersionNumber, VersionCount>> tallies;
-  int absence_votes = 0;
-  bool absence_overflow = false;
-  int received = 0;
-  int failures = 0;
-  bool config_mismatch = false;
-  std::optional<IndexVote> preferred;  // first successful responder
+  QuorumTally tally(static_cast<int>(targets.size()), quorum);
+  QuorumTally::Verdict verdict = QuorumTally::Verdict::kPending;
+  uint32_t deciding_shard = 0;  // replica whose vote settled the verdict
   sim::OneShot<StatusOr<GetResult>> speculative_data(sim_);
-  bool speculative_started = false;
-
-  auto quorum_of = [&](const VersionNumber& v) -> VersionCount* {
-    for (auto& [version, vc] : tallies) {
-      if (version == v) return &vc;
-    }
-    tallies.emplace_back(v, VersionCount{});
-    return &tallies.back().second;
-  };
-
-  while (received < static_cast<int>(targets.size())) {
+  while (verdict == QuorumTally::Verdict::kPending) {
     const sim::Duration remaining = ctx.deadline_at - sim_.now();
     if (remaining <= 0) co_return DeadlineExceededError("quorum wait");
-    auto maybe_vote = co_await votes->RecvFor(remaining);
-    if (!maybe_vote) co_return DeadlineExceededError("quorum wait");
-    IndexVote vote = *std::move(maybe_vote);
-    ++received;
-
-    if (!vote.status.ok()) {
-      ++failures;
-      if (vote.status.code() == StatusCode::kPermissionDenied) {
-        ++stats_.window_errors;
-        if (vote.shard < conns_.size()) {
-          conns_[vote.shard].connected = false;  // re-handshake next attempt
-        }
-      } else if (vote.status.code() == StatusCode::kUnavailable ||
-                 vote.status.code() == StatusCode::kUnimplemented) {
-        NoteReplicaFailure(vote.shard);
-      } else if (vote.status.code() == StatusCode::kFailedPrecondition) {
-        config_mismatch = true;
-      } else if (vote.status.code() == StatusCode::kDeadlineExceeded) {
-        // A lost RMA op (fault injection): the replica itself may be fine,
-        // so no replica backoff — the op-level retry loop handles it.
-        ++stats_.op_timeouts;
-      }
-      if (static_cast<int>(targets.size()) - failures < quorum) {
-        // Quorum impossible this attempt.
-        if (config_mismatch) co_return FailedPreconditionError("config");
-        co_return UnavailableError("too many replica failures");
-      }
-      continue;
-    }
-
-    if (!preferred) preferred = vote;
-
-    if (!vote.has_entry) {
-      ++absence_votes;
-      absence_overflow |= vote.overflow;
-      if (absence_votes >= quorum) {
-        // Miss quorum: whatever the cache thought it knew about this key
-        // is gone from the index (misses are never cached).
-        loccache_.Invalidate(ctx.hash);
-        // The overflow bit may still route us to RPC (§4.2).
-        if (absence_overflow && config_.follow_overflow_fallback) {
-          co_return co_await GetViaRpc(key, vote.shard, ctx);
-        }
-        co_return NotFoundError("absence quorum");
-      }
-      continue;
-    }
-
-    VersionCount* vc = quorum_of(vote.entry.version);
-    vc->count++;
-    if (vc->count == 1) vc->vote = vote;
-    if (vc->count == 2) vc->second = vote;
-
+    auto vote = co_await votes->RecvFor(remaining);
+    if (!vote) co_return DeadlineExceededError("quorum wait");
     // Speculative data fetch from the preferred backend (2xR): issued as
-    // soon as the first index response lands, before the quorum resolves.
-    if (!use_scar && !speculative_started && preferred->has_entry &&
-        vote.replica == preferred->replica) {
-      speculative_started = true;
+    // soon as the first successful index response lands, before the
+    // quorum resolves.
+    const bool fetch_early = !use_scar && vote->status.ok() &&
+                             vote->has_entry && tally.preferred() == nullptr;
+    const IndexEntry entry = vote->entry;
+    deciding_shard = vote->shard;
+    verdict = CountVote(tally, *std::move(vote), ctx.hash);
+    if (fetch_early) {
       sim_.Spawn([](Client* self, std::string key, uint32_t shard,
                     IndexEntry entry, OpContext ctx,
                     sim::OneShot<StatusOr<GetResult>> out) -> sim::Task<void> {
         out.Set(co_await self->FetchData(key, shard, entry, ctx));
-      }(this, key, vote.shard, vote.entry, ctx, speculative_data));
-    }
-
-    if (vc->count >= quorum) {
-      const VersionNumber v = vote.entry.version;
-      // Hit condition (4): the data must come from a quorum member.
-      const bool preferred_in_quorum =
-          preferred->has_entry && preferred->entry.version == v;
-      if (use_scar) {
-        const IndexVote& source = preferred_in_quorum ? *preferred : vc->vote;
-        if (!preferred_in_quorum) ++stats_.preferred_mismatch;
-        if (source.scar_data.empty()) {
-          ++stats_.torn_reads;  // pointer raced an eviction/mutation
-          co_return AbortedError("scar returned no data");
-        }
-        const sim::Time v_start = sim_.now();
-        stats_.validate_cpu_ns += config_.validate_cpu;
-        co_await fabric_.host(host_).cpu().Run(config_.validate_cpu);
-        fabric_.tracer().AddSpan("validate", ctx.span, v_start, sim_.now(),
-                                 host_);
-        auto res = ValidateData(source.scar_data, key, ctx.hash, v);
-        if (res.ok()) CacheWinningVote(ctx.hash, source, ctx);
-        co_return res;
-      }
-      if (preferred_in_quorum && speculative_started) {
-        const sim::Duration rem = ctx.deadline_at - sim_.now();
-        if (rem <= 0) co_return DeadlineExceededError("data wait");
-        if (ctx.hedge && vc->count >= 2) {
-          // Hedged fetch: give the in-flight speculative read `hedge_delay`
-          // to resolve, then race a second fetch against another quorum
-          // member through the same OneShot (first Set wins, the loser's
-          // read completes and is discarded — one-sided ops can't cancel).
-          auto data = co_await speculative_data.WaitFor(
-              std::min(rem, config_.hedge_delay));
-          if (data) {
-            if (data->ok()) CacheWinningVote(ctx.hash, *preferred, ctx);
-            co_return *std::move(data);
-          }
-          const sim::Duration rem2 = ctx.deadline_at - sim_.now();
-          if (rem2 <= 0) co_return DeadlineExceededError("data wait");
-          ++stats_.hedged_reads;
-          const IndexVote& alt = (vc->vote.replica != preferred->replica)
-                                     ? vc->vote
-                                     : vc->second;
-          auto hedge_won = std::make_shared<bool>(false);
-          sim_.Spawn([](Client* self, std::string key, uint32_t shard,
-                        IndexEntry entry, OpContext ctx,
-                        sim::OneShot<StatusOr<GetResult>> out,
-                        std::shared_ptr<bool> won) -> sim::Task<void> {
-            auto r = co_await self->FetchData(key, shard, entry, ctx);
-            // A hedge failure must not poison a primary that may still
-            // land; only a successful hedge competes for the slot.
-            if (r.ok() && !out.ready()) {
-              *won = true;
-              out.Set(std::move(r));
-            }
-          }(this, key, alt.shard, alt.entry, ctx, speculative_data,
-            hedge_won));
-          auto raced = co_await speculative_data.WaitFor(rem2);
-          if (!raced) co_return DeadlineExceededError("data wait");
-          if (*hedge_won) ++stats_.hedge_wins;
-          if (raced->ok()) {
-            // Cache whichever quorum member actually served the bytes.
-            CacheWinningVote(ctx.hash, *hedge_won ? alt : *preferred, ctx);
-          }
-          co_return *std::move(raced);
-        }
-        auto data = co_await speculative_data.WaitFor(rem);
-        if (!data) co_return DeadlineExceededError("data wait");
-        if (data->ok()) CacheWinningVote(ctx.hash, *preferred, ctx);
-        co_return *std::move(data);
-      }
-      // Preferred not in quorum: fetch from a quorum member instead.
-      ++stats_.preferred_mismatch;
-      {
-        auto res = co_await FetchData(key, vc->vote.shard, vc->vote.entry, ctx);
-        if (res.ok()) CacheWinningVote(ctx.hash, vc->vote, ctx);
-        co_return res;
-      }
+      }(this, key, deciding_shard, entry, ctx, speculative_data));
     }
   }
 
-  // All responses in, no quorum: mixed versions/absence under churn.
-  if (config_mismatch) co_return FailedPreconditionError("config mismatch");
-  ++stats_.inquorate;
-  // If an absence vote carried the bucket-overflow bit, the key may be
-  // RPC-servable there even though no RMA quorum formed (§4.2).
-  if (absence_overflow && config_.follow_overflow_fallback) {
-    auto via_rpc = co_await GetViaRpc(key, targets[0], ctx);
-    if (via_rpc.ok()) co_return via_rpc;
+  if (verdict == QuorumTally::Verdict::kImpossible) {
+    if (tally.config_mismatch()) co_return FailedPreconditionError("config");
+    co_return UnavailableError("too many replica failures");
   }
-  co_return AbortedError("inquorate");
+  if (verdict == QuorumTally::Verdict::kAbsence) {
+    // The overflow bit may still route us to RPC (§4.2).
+    if (tally.overflow()) {
+      co_return co_await GetViaRpc(key, deciding_shard, ctx);
+    }
+    co_return NotFoundError("absence quorum");
+  }
+  if (verdict == QuorumTally::Verdict::kInquorate) {
+    // All responses in, no quorum: mixed versions/absence under churn.
+    if (tally.config_mismatch()) {
+      co_return FailedPreconditionError("config mismatch");
+    }
+    ++stats_.inquorate;
+    // If an absence vote carried the bucket-overflow bit, the key may be
+    // RPC-servable there even though no RMA quorum formed (§4.2).
+    if (tally.overflow()) {
+      auto via_rpc = co_await GetViaRpc(key, targets[0], ctx);
+      if (via_rpc.ok()) co_return via_rpc;
+    }
+    co_return AbortedError("inquorate");
+  }
+
+  // Version quorum. Hit condition (4): the data must come from a quorum
+  // member. The winner is the first vote for the quorumed version, so it
+  // is the preferred responder whenever that responder is a member.
+  const IndexVote& winner = tally.winner();
+  const IndexVote& preferred = *tally.preferred();
+  const bool preferred_in_quorum =
+      preferred.has_entry && preferred.entry.version == winner.entry.version;
+  if (!preferred_in_quorum) ++stats_.preferred_mismatch;
+  if (use_scar) {
+    if (winner.scar_data.empty()) {
+      ++stats_.torn_reads;  // pointer raced an eviction/mutation
+      co_return AbortedError("scar returned no data");
+    }
+    const sim::Time v_start = sim_.now();
+    stats_.validate_cpu_ns += config_.validate_cpu;
+    co_await fabric_.host(host_).cpu().Run(config_.validate_cpu);
+    fabric_.tracer().AddSpan("validate", ctx.span, v_start, sim_.now(), host_);
+    auto res = ValidateData(winner.scar_data, key, ctx.hash,
+                            winner.entry.version);
+    if (res.ok()) CacheWinningVote(ctx.hash, winner, ctx);
+    co_return res;
+  }
+  if (!preferred_in_quorum) {
+    // No early fetch to reuse: fetch from a quorum member instead.
+    auto res = co_await FetchData(key, winner.shard, winner.entry, ctx);
+    if (res.ok()) CacheWinningVote(ctx.hash, winner, ctx);
+    co_return res;
+  }
+  // The early fetch from the preferred backend (a quorum member) is in
+  // flight.
+  const sim::Duration rem = ctx.deadline_at - sim_.now();
+  if (rem <= 0) co_return DeadlineExceededError("data wait");
+  if (ctx.hedge && tally.second() != nullptr) {
+    // Hedged fetch: give the in-flight speculative read `hedge_delay` to
+    // resolve, then race a second fetch against another quorum member
+    // through the same OneShot (first Set wins, the loser's read completes
+    // and is discarded — one-sided ops can't cancel).
+    auto data =
+        co_await speculative_data.WaitFor(std::min(rem, config_.hedge_delay));
+    if (data) {
+      if (data->ok()) CacheWinningVote(ctx.hash, winner, ctx);
+      co_return *std::move(data);
+    }
+    const sim::Duration rem2 = ctx.deadline_at - sim_.now();
+    if (rem2 <= 0) co_return DeadlineExceededError("data wait");
+    ++stats_.hedged_reads;
+    const IndexVote& alt = *tally.second();
+    auto hedge_won = std::make_shared<bool>(false);
+    sim_.Spawn([](Client* self, std::string key, uint32_t shard,
+                  IndexEntry entry, OpContext ctx,
+                  sim::OneShot<StatusOr<GetResult>> out,
+                  std::shared_ptr<bool> won) -> sim::Task<void> {
+      auto r = co_await self->FetchData(key, shard, entry, ctx);
+      // A hedge failure must not poison a primary that may still land;
+      // only a successful hedge competes for the slot.
+      if (r.ok() && !out.ready()) {
+        *won = true;
+        out.Set(std::move(r));
+      }
+    }(this, key, alt.shard, alt.entry, ctx, speculative_data, hedge_won));
+    auto raced = co_await speculative_data.WaitFor(rem2);
+    if (!raced) co_return DeadlineExceededError("data wait");
+    if (*hedge_won) ++stats_.hedge_wins;
+    if (raced->ok()) {
+      // Cache whichever quorum member actually served the bytes.
+      CacheWinningVote(ctx.hash, *hedge_won ? alt : winner, ctx);
+    }
+    co_return *std::move(raced);
+  }
+  auto data = co_await speculative_data.WaitFor(rem);
+  if (!data) co_return DeadlineExceededError("data wait");
+  if (data->ok()) CacheWinningVote(ctx.hash, winner, ctx);
+  co_return *std::move(data);
+}
+
+// ---------------------------------------------------------------------------
+// Shared read pipeline
+// ---------------------------------------------------------------------------
+
+bool Client::ChooseScar(LookupStrategy strategy) const {
+  if (strategy == LookupStrategy::kScar) return true;
+  if (strategy == LookupStrategy::kTwoR) return false;
+  return transport_->SupportsScar();
+}
+
+std::vector<uint32_t> Client::SelectReplicas(uint32_t primary) {
+  const uint32_t n = view_.num_shards();
+  std::vector<uint32_t> targets;
+  for (int r = 0; r < ReplicaCount(view_.mode); ++r) {
+    const uint32_t shard = ReplicaShard(primary, r, n);
+    if (conns_.size() <= shard) conns_.resize(n);
+    if (conns_[shard].dead_until > sim_.now()) continue;
+    targets.push_back(shard);
+  }
+  if (view_.mode == ReplicationMode::kR2Immutable && targets.size() > 1) {
+    std::vector<uint32_t> healthy;
+    for (uint32_t shard : targets) {
+      const Conn& conn = conns_[shard];
+      if (conn.connected || !conn.ever_failed) healthy.push_back(shard);
+    }
+    if (!healthy.empty()) targets = std::move(healthy);
+    targets = {targets[config_.client_id % targets.size()]};
+  }
+  return targets;
+}
+
+Client::ConnStep Client::PlanConnect(uint32_t shard) {
+  if (shard >= conns_.size()) return ConnStep::kSkip;  // cell shrank
+  Conn& conn = conns_[shard];
+  if (conn.connected && conn.config_id == view_.shard_config_ids[shard] &&
+      conn.host == view_.shard_hosts[shard]) {
+    return ConnStep::kReady;
+  }
+  if (!conn.ever_failed) return ConnStep::kHandshake;
+  if (!conn.probe_in_flight) {
+    conn.probe_in_flight = true;
+    sim_.Spawn([](Client* self, uint32_t shard,
+                  std::shared_ptr<bool> alive) -> sim::Task<void> {
+      (void)co_await self->EnsureConnected(shard);
+      if (*alive && shard < self->conns_.size()) {
+        self->conns_[shard].probe_in_flight = false;
+      }
+    }(this, shard, alive_));
+  }
+  return ConnStep::kSkip;
+}
+
+void Client::NoteReadFault(const Status& status, uint32_t shard) {
+  if (status.code() == StatusCode::kPermissionDenied) {
+    ++stats_.window_errors;
+    if (shard < conns_.size()) conns_[shard].connected = false;
+  } else if (status.code() == StatusCode::kDeadlineExceeded) {
+    ++stats_.op_timeouts;
+  }
+}
+
+QuorumTally::Verdict Client::CountVote(QuorumTally& tally, IndexVote vote,
+                                       const Hash128& hash) {
+  if (!vote.status.ok()) {
+    NoteReadFault(vote.status, vote.shard);
+    const StatusCode code = vote.status.code();
+    if (code == StatusCode::kUnavailable ||
+        code == StatusCode::kUnimplemented) {
+      NoteReplicaFailure(vote.shard);
+    }
+  }
+  const QuorumTally::Verdict verdict = tally.Add(std::move(vote));
+  if (verdict == QuorumTally::Verdict::kAbsence) loccache_.Invalidate(hash);
+  return verdict;
+}
+
+sim::Task<void> Client::IssueVector(
+    uint32_t shard, uint32_t ways, net::HostId target,
+    std::vector<rma::ReadVEntry> reads, std::vector<rma::ScarVEntry> scars,
+    trace::SpanId span, std::shared_ptr<sim::Channel<VectorResult>> results) {
+  co_await AcquireIssueSlot(shard);
+  stats_.issue_cpu_ns += config_.issue_cpu;
+  co_await fabric_.host(host_).cpu().Run(config_.issue_cpu);
+  VectorResult b;
+  b.shard = shard;
+  b.ways = ways;
+  ++stats_.batch_vector_ops;
+  if (!scars.empty()) {
+    stats_.batch_vector_entries += static_cast<int64_t>(scars.size());
+    auto r = co_await transport_->ScanAndReadV(host_, target,
+                                               std::move(scars), span);
+    if (r.ok()) {
+      b.scars = *std::move(r);
+    } else {
+      b.status = r.status();
+    }
+  } else {
+    stats_.batch_vector_entries += static_cast<int64_t>(reads.size());
+    auto r = co_await transport_->ReadV(host_, target, std::move(reads), span);
+    if (r.ok()) {
+      b.reads = *std::move(r);
+    } else {
+      b.status = r.status();
+    }
+  }
+  ReleaseIssueSlot(shard);
+  results->Send(std::move(b));
+}
+
+sim::Task<std::optional<Client::VectorResult>> Client::AwaitVector(
+    sim::Channel<VectorResult>& results, int& pending, sim::Time deadline) {
+  if (pending <= 0) co_return std::nullopt;
+  const sim::Duration remaining = deadline - sim_.now();
+  if (remaining <= 0) co_return std::nullopt;
+  auto b = co_await results.RecvFor(remaining);
+  if (!b) co_return std::nullopt;
+  --pending;
+  stats_.validate_cpu_ns += config_.validate_cpu;
+  co_await fabric_.host(host_).cpu().Run(config_.validate_cpu);
+  co_return b;
 }
 
 // Decodes one bucket read into a vote: short-read guard, config-id fence,
@@ -1670,12 +1433,7 @@ sim::Task<StatusOr<GetResult>> Client::FetchData(const std::string& key,
                                      entry.pointer.offset, entry.pointer.size,
                                      span);
   if (!r.ok()) {
-    if (r.status().code() == StatusCode::kPermissionDenied) {
-      ++stats_.window_errors;
-      if (shard < conns_.size()) conns_[shard].connected = false;
-    } else if (r.status().code() == StatusCode::kDeadlineExceeded) {
-      ++stats_.op_timeouts;
-    }
+    NoteReadFault(r.status(), shard);
     tracer.End(span, -1);
     co_return r.status();
   }
@@ -1758,64 +1516,68 @@ void Client::CacheWinningVote(const Hash128& hash, const IndexVote& vote,
   loccache_.Insert(hash, loc);
 }
 
-sim::Task<std::optional<GetResult>> Client::SpeculativeGet(
-    const std::string& key, const OpContext& ctx) {
-  const CachedLocation* hit = loccache_.Lookup(ctx.hash, sim_.now());
-  if (hit == nullptr) co_return std::nullopt;
-  const CachedLocation loc = *hit;  // copy out before any await
-  // The location is only servable over the connection it was learned on:
-  // same shard, same serving host, same config generation.
+std::optional<CachedLocation> Client::LookupSpeculation(const Hash128& hash) {
+  const CachedLocation* hit = loccache_.Lookup(hash, sim_.now());
+  if (hit == nullptr) return std::nullopt;
+  const CachedLocation loc = *hit;
   if (loc.shard >= conns_.size() || loc.shard >= view_.num_shards()) {
-    loccache_.Invalidate(ctx.hash);
-    co_return std::nullopt;
+    loccache_.Invalidate(hash);
+    return std::nullopt;
   }
-  const Conn conn = conns_[loc.shard];
+  const Conn& conn = conns_[loc.shard];
   if (!conn.connected || conn.config_id != loc.config_id ||
       conn.config_id != view_.shard_config_ids[loc.shard] ||
       conn.host != view_.shard_hosts[loc.shard]) {
-    loccache_.Invalidate(ctx.hash);
-    co_return std::nullopt;
+    loccache_.Invalidate(hash);
+    return std::nullopt;
   }
+  return loc;
+}
+
+bool Client::SettleSpeculation(const Hash128& hash, uint32_t shard,
+                               const StatusOr<GetResult>& result) {
+  if (result.ok()) {
+    spec_governor_.Record(true, sim_.now());
+    loccache_.RaiseVersionFloor(hash, result->version);
+    return true;
+  }
+  NoteReadFault(result.status(), shard);
+  ++stats_.loccache_speculative_failures;
+  spec_governor_.Record(false, sim_.now());
+  loccache_.Invalidate(hash);
+  return false;
+}
+
+sim::Task<std::optional<GetResult>> Client::SpeculativeGet(
+    const std::string& key, const OpContext& ctx) {
+  const std::optional<CachedLocation> loc = LookupSpeculation(ctx.hash);
+  if (!loc) co_return std::nullopt;
+  const net::HostId target = conns_[loc->shard].host;
 
   ++stats_.loccache_speculative_reads;
   trace::Tracer& tracer = fabric_.tracer();
   const trace::SpanId span = tracer.Begin("spec_read", ctx.span, host_);
   stats_.issue_cpu_ns += config_.issue_cpu;
   co_await fabric_.host(host_).cpu().Run(config_.issue_cpu);
-  auto r = co_await transport_->Read(host_, conn.host, loc.pointer.region,
-                                     loc.pointer.offset, loc.pointer.size,
+  auto r = co_await transport_->Read(host_, target, loc->pointer.region,
+                                     loc->pointer.offset, loc->pointer.size,
                                      span);
-  if (!r.ok()) {
-    // Same fault bookkeeping as FetchData; the quorum path (never a retry
-    // of the speculation itself) takes over.
-    if (r.status().code() == StatusCode::kPermissionDenied) {
-      ++stats_.window_errors;
-      if (loc.shard < conns_.size()) conns_[loc.shard].connected = false;
-    } else if (r.status().code() == StatusCode::kDeadlineExceeded) {
-      ++stats_.op_timeouts;
-    }
-    ++stats_.loccache_speculative_failures;
-    spec_governor_.Record(false, sim_.now());
-    loccache_.Invalidate(ctx.hash);
+  StatusOr<GetResult> res = InternalError("speculation unresolved");
+  if (r.ok()) {
+    const sim::Time v_start = sim_.now();
+    stats_.validate_cpu_ns += config_.validate_cpu;
+    co_await fabric_.host(host_).cpu().Run(config_.validate_cpu);
+    tracer.AddSpan("validate", span, v_start, sim_.now(), host_);
+    res = ValidateSpeculative(*r, key, ctx.hash, loc->version);
+  } else {
+    res = r.status();
+  }
+  // A failure hands the GET to the quorum path — never a retry of the
+  // speculation itself.
+  if (!SettleSpeculation(ctx.hash, loc->shard, res)) {
     tracer.End(span, -1);
     co_return std::nullopt;
   }
-  const sim::Time v_start = sim_.now();
-  stats_.validate_cpu_ns += config_.validate_cpu;
-  co_await fabric_.host(host_).cpu().Run(config_.validate_cpu);
-  tracer.AddSpan("validate", span, v_start, sim_.now(), host_);
-  auto res = ValidateSpeculative(*r, key, ctx.hash, loc.version);
-  if (!res.ok()) {
-    ++stats_.loccache_speculative_failures;
-    spec_governor_.Record(false, sim_.now());
-    loccache_.Invalidate(ctx.hash);
-    tracer.End(span, -1);
-    co_return std::nullopt;
-  }
-  spec_governor_.Record(true, sim_.now());
-  // The observed version becomes the new floor: this client can never be
-  // served anything older through this entry again.
-  loccache_.RaiseVersionFloor(ctx.hash, res->version);
   tracer.End(span, static_cast<int64_t>(res->value.size()));
   co_return *std::move(res);
 }

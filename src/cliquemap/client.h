@@ -28,6 +28,7 @@
 #include "cliquemap/layout.h"
 #include "cliquemap/loccache.h"
 #include "cliquemap/proto.h"
+#include "cliquemap/quorum.h"
 #include "cliquemap/tenancy.h"
 #include "cliquemap/types.h"
 #include "rma/transport.h"
@@ -64,9 +65,6 @@ struct ClientConfig {
   sim::Duration issue_cpu = sim::Nanoseconds(400);
   sim::Duration validate_cpu = sim::Nanoseconds(250);
 
-  // Use the bucket overflow RPC fallback when the overflow bit is set.
-  bool follow_overflow_fallback = true;
-
   // Transparent client-side value compression (§9 lists compression among
   // the features delivered post-launch). All clients of a corpus must
   // agree on this setting, like any per-corpus configuration.
@@ -99,9 +97,6 @@ struct ClientConfig {
   // Interval for the optional background config watcher (StartConfigWatcher)
   // that keeps the view fresh across reconfiguration generations.
   sim::Duration config_watch_interval = sim::Milliseconds(50);
-  // During a dual-version window, a GET that misses under the new topology
-  // falls back to the previous owners (records may not have streamed yet).
-  bool prev_fallback = true;
 
   // Quorum-loss degraded reads (correlated failures) -------------------
   // When a GET cannot form a quorum (replicas unreachable, inquorate votes,
@@ -121,11 +116,6 @@ struct ClientConfig {
   // RPC strategy, no transport, resharding window) falls back to the naive
   // concurrent fan-out.
   bool batch_multiget = true;
-  // Incast guard: at most this many in-flight vectored ops per backend...
-  int batch_max_inflight_per_backend = 2;
-  // ...and consecutive issues toward the same backend are paced at least
-  // this far apart, so a large batch does not burst-solicit one host.
-  sim::Duration batch_issue_gap = sim::Microseconds(2);
 
   // 1-RMA speculative GET path -----------------------------------------
   // Location cache + speculative direct reads (on by default): a GET whose
@@ -184,7 +174,6 @@ struct GetOptions {
   std::optional<bool> hedge_reads;         // hedged data fetch (GET)
   std::optional<bool> batch;               // MultiGet: batched pipeline
   std::optional<bool> speculate;           // 1-RMA speculative fast path
-  std::optional<size_t> loccache_entries;  // resize the location cache
   std::optional<bool> degraded;            // sub-quorum degraded reads (GET)
 };
 using OpOptions = GetOptions;
@@ -342,17 +331,6 @@ class Client {
     double lat_ewma_ns = 0.0;
   };
 
-  // One replica's contribution to a quorum decision.
-  struct IndexVote {
-    int replica = -1;           // 0..R-1
-    uint32_t shard = 0;         // physical shard of this replica
-    Status status;              // fetch outcome
-    bool has_entry = false;
-    IndexEntry entry;
-    bool overflow = false;      // bucket overflow bit observed
-    BufferView scar_data;       // SCAR only: piggybacked DataEntry bytes
-  };
-
   // Internal per-op context: everything the GET/mutation internals used to
   // take as positional parameters, resolved once at the public entry point
   // from ClientConfig overlaid with GetOptions.
@@ -372,6 +350,35 @@ class Client {
   sim::Task<Status> RefreshConfig();
   sim::Task<Status> EnsureConnected(uint32_t shard);
   void NoteReplicaFailure(uint32_t shard);
+
+  // Shared read pipeline -----------------------------------------------
+  // GetOnce and MultiGetBatched both plan, issue and decide through these;
+  // each caller keeps only its own deliberate divergences.
+  //
+  // SCAR when the strategy asks for it (kAuto: when the transport has it),
+  // else 2xR.
+  bool ChooseScar(LookupStrategy strategy) const;
+  // The replicas of `primary` worth asking: skips replicas still backing
+  // off; immutable R=2 consults one, spread by client id but preferring
+  // replicas without a recent connection failure (failover, §6.4).
+  std::vector<uint32_t> SelectReplicas(uint32_t primary);
+  // Connect-or-probe for one selected replica, synchronous unless a
+  // first-time handshake is due: a current connection is kReady; a replica
+  // that failed before is re-probed off the serving path and skipped
+  // ("clients only send two out of three operations per GET, as they await
+  // reconnect", §7.2.3); otherwise the caller awaits EnsureConnected.
+  enum class ConnStep { kReady, kSkip, kHandshake };
+  ConnStep PlanConnect(uint32_t shard);
+  // Bookkeeping for a failed RMA read against `shard`: a revoked window
+  // drops the connection (re-handshake next attempt); a lost op counts a
+  // timeout (the replica itself may be fine — no backoff).
+  void NoteReadFault(const Status& status, uint32_t shard);
+  // Feeds one index vote into `tally`: a failed fetch gets the read-fault
+  // bookkeeping (plus a replica backoff when the replica is unreachable),
+  // and an absence quorum drops whatever the location cache held for the
+  // key (misses are never cached).
+  QuorumTally::Verdict CountVote(QuorumTally& tally, IndexVote vote,
+                                 const Hash128& hash);
 
   // One GET attempt; kAborted-class results are retried by Get().
   sim::Task<StatusOr<GetResult>> GetOnce(const std::string& key,
@@ -426,6 +433,16 @@ class Client {
   // overflow-flagged buckets; no-op when speculation is off for the op).
   void CacheWinningVote(const Hash128& hash, const IndexVote& vote,
                         const OpContext& ctx);
+  // The cached location for `hash` if it is servable over the current
+  // connection (same shard, serving host and config generation); a stale
+  // entry is invalidated.
+  std::optional<CachedLocation> LookupSpeculation(const Hash128& hash);
+  // Settles one speculative read. A validated hit raises the key's version
+  // floor (nothing older may be served through the entry again) and
+  // returns true; a failed read or validation trips the governor and
+  // invalidates the entry, and the key falls back to the quorum path.
+  bool SettleSpeculation(const Hash128& hash, uint32_t shard,
+                         const StatusOr<GetResult>& result);
 
   // Batched MultiGet pipeline ------------------------------------------
   // Decodes one bucket read into a vote (config-id check + way scan);
@@ -439,6 +456,26 @@ class Client {
                                   const std::vector<size_t>& unique,
                                   GetOptions opts, OpContext ctx,
                                   MultiGetResult* out);
+  // One backend's share of a vectored op.
+  struct VectorResult {
+    uint32_t shard = 0;
+    uint32_t ways = 0;  // index phase: bucket geometry at issue time
+    Status status;      // whole-vector outcome (lost command/completion)
+    std::vector<StatusOr<BufferView>> reads;       // ReadV
+    std::vector<StatusOr<rma::ScarResult>> scars;  // ScanAndReadV
+  };
+  // Issues one vectored op toward `shard` through the incast gate —
+  // ScanAndReadV when `scars` is non-empty, else ReadV — and delivers its
+  // result into `results`. `ways` rides along for the index decode.
+  sim::Task<void> IssueVector(
+      uint32_t shard, uint32_t ways, net::HostId target,
+      std::vector<rma::ReadVEntry> reads, std::vector<rma::ScarVEntry> scars,
+      trace::SpanId span, std::shared_ptr<sim::Channel<VectorResult>> results);
+  // The next of `pending` vector results, or nullopt once all arrived or
+  // `deadline` passed. Validation CPU is charged once per vector, not once
+  // per key — the second half of the batching amortization.
+  sim::Task<std::optional<VectorResult>> AwaitVector(
+      sim::Channel<VectorResult>& results, int& pending, sim::Time deadline);
   // Incast-aware issue scheduler: a counting semaphore bounds in-flight
   // vectored ops per backend shard and a pacing clock spaces consecutive
   // issues toward the same shard.
@@ -479,8 +516,8 @@ class Client {
   uint32_t seq_ = 0;
 
   // Incast gate state, lazily created per backend shard. The Channel is a
-  // counting semaphore (pre-loaded with batch_max_inflight_per_backend
-  // tokens; Recv = acquire, Send = release) — FIFO, so waiters drain
+  // counting semaphore (pre-loaded with kBatchMaxInflightPerBackend tokens;
+  // Recv = acquire, Send = release) — FIFO, so waiters drain
   // deterministically.
   struct IssueGate {
     std::shared_ptr<sim::Channel<bool>> slots;

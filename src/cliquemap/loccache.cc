@@ -76,18 +76,6 @@ size_t LocationCache::Flush() {
   return dropped;
 }
 
-void LocationCache::SetCapacity(size_t capacity) {
-  capacity_ = capacity;
-  if (capacity_ == 0) {
-    // Dropping to zero is a disable, not churn — clear without counting the
-    // entries as invalidations.
-    lru_.clear();
-    map_.clear();
-    return;
-  }
-  EvictToCapacity();
-}
-
 void LocationCache::EvictToCapacity() {
   while (map_.size() > capacity_) {
     map_.erase(lru_.back().key);

@@ -99,9 +99,6 @@ class LocationCache {
   // Drops everything (membership-epoch change, resharding transition).
   size_t Flush();
 
-  // Shrinking below size() evicts LRU entries immediately.
-  void SetCapacity(size_t capacity);
-
   size_t size() const { return map_.size(); }
   size_t capacity() const { return capacity_; }
   const LocCacheStats& stats() const { return stats_; }

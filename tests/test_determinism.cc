@@ -332,6 +332,248 @@ TEST(DeterminismAB, ReshardSeedMatchesSeedScheduler) {
   ExpectEqual(got, want);
 }
 
+// --- Batched MultiGet pin ------------------------------------------------
+// The coalesced MultiGet pipeline (speculative peel, vectored index and
+// data phases, batched overflow RPC, slowpath bounce) shares its quorum,
+// replica-plan and vector-issue code with the single-key GET. This scenario
+// drives it through chaos on both index strategies — SCAR on SoftNIC, 2xR
+// on 1RMA — and pins everything it observes, so a refactor of the shared
+// read pipeline must reproduce the batched schedule exactly.
+
+struct BatchedCapture {
+  uint64_t fault_fingerprint = 0;
+  int64_t fault_trace_events = 0;
+  uint64_t span_fingerprint = 0;
+  int64_t spans_completed = 0;
+  uint64_t sim_events = 0;
+  int64_t final_now = 0;
+  int64_t hits = 0;
+  int64_t misses = 0;
+  int64_t batch_keys = 0;
+  int64_t batch_vector_ops = 0;
+  int64_t batch_vector_entries = 0;
+  int64_t batch_rpc_fallbacks = 0;
+  int64_t batch_slowpath_keys = 0;
+  int64_t batch_inflight_waits = 0;
+  int64_t spec_reads = 0;
+  int64_t spec_failures = 0;
+  uint64_t value_fp = 0;  // FNV-1a over every MultiGet slot's outcome
+
+  friend bool operator==(const BatchedCapture&,
+                         const BatchedCapture&) = default;
+
+  void Print(const char* label) const {
+    std::printf(
+        "%s: fault_fp=0x%llxull events=%lld span_fp=0x%llxull spans=%lld\n"
+        "  sim_events=%llu final_now=%lld hits=%lld misses=%lld\n"
+        "  batch keys=%lld vector_ops=%lld vector_entries=%lld "
+        "rpc_fallbacks=%lld slowpath=%lld inflight_waits=%lld\n"
+        "  spec_reads=%lld spec_failures=%lld value_fp=0x%llxull\n",
+        label, (unsigned long long)fault_fingerprint,
+        (long long)fault_trace_events, (unsigned long long)span_fingerprint,
+        (long long)spans_completed, (unsigned long long)sim_events,
+        (long long)final_now, (long long)hits, (long long)misses,
+        (long long)batch_keys, (long long)batch_vector_ops,
+        (long long)batch_vector_entries, (long long)batch_rpc_fallbacks,
+        (long long)batch_slowpath_keys, (long long)batch_inflight_waits,
+        (long long)spec_reads, (long long)spec_failures,
+        (unsigned long long)value_fp);
+  }
+};
+
+constexpr int kBatchKeys = 40;     // written keys; b40..b47 stay absent
+constexpr int kBatchHotKeys = 6;   // hot set: repeat reads hit the loccache
+
+BatchedCapture RunBatchedScenario(TransportKind transport, uint64_t seed) {
+  sim::Simulator sim;
+  CellOptions o;
+  o.num_shards = 6;
+  o.mode = ReplicationMode::kR32;
+  o.transport = transport;
+  o.seed = seed;
+  // Narrow buckets with the overflow RPC fallback on, so some absence
+  // quorums carry the overflow bit and take the batched RPC.
+  o.backend.ways = 2;
+  o.backend.initial_buckets = 8;
+  o.backend.rpc_fallback_on_overflow = true;
+  o.backend.data_initial_bytes = 256 * 1024;
+  o.backend.data_max_bytes = 8 * 1024 * 1024;
+  Cell cell(sim, std::move(o));
+  cell.Start();
+  cell.tracer().Enable(true);
+
+  auto plan = std::make_shared<net::FaultPlan>(seed);
+  net::LinkFaultRates rates;
+  rates.drop = 0.01;
+  rates.corrupt = 0.01;
+  rates.duplicate = 0.005;
+  rates.delay = 0.03;
+  rates.delay_mean = sim::Microseconds(60);
+  plan->SetDefaultRates(rates);
+  plan->SetActiveWindow(sim::Milliseconds(10), sim::Milliseconds(150));
+  plan->AddPartition(1, 2, sim::Milliseconds(30), sim::Milliseconds(70));
+  plan->AddHostPause(3, sim::Milliseconds(50), sim::Milliseconds(2));
+  cell.fabric().InstallFaults(plan);
+
+  Client* writer = cell.AddClient();
+  ClientConfig rc;
+  rc.client_id = 2;
+  rc.loccache_ttl = sim::Milliseconds(2);
+  Client* reader = cell.AddClient(rc);
+
+  auto loaded = std::make_shared<sim::Notification>(sim);
+  auto done = std::make_shared<int>(0);
+  sim.Spawn([](sim::Simulator& sim, Client* w, uint64_t seed,
+               std::shared_ptr<sim::Notification> loaded,
+               std::shared_ptr<int> done) -> sim::Task<void> {
+    (void)co_await w->Connect();
+    for (int k = 0; k < kBatchKeys; ++k) {
+      (void)co_await w->Set("b" + std::to_string(k),
+                            Bytes(96, std::byte{0x33}));
+    }
+    loaded->Notify();
+    Rng rng(seed ^ 0x3A17E);
+    for (int i = 0; i < 80; ++i) {
+      co_await sim.Delay(
+          sim::Microseconds(int64_t(400 + rng.NextBounded(1200))));
+      const int k = rng.NextBool(0.5) ? int(rng.NextBounded(kBatchHotKeys))
+                                      : int(rng.NextBounded(kBatchKeys));
+      (void)co_await w->Set("b" + std::to_string(k),
+                            Bytes(96, std::byte(uint8_t(1 + (i % 250)))));
+    }
+    ++*done;
+  }(sim, writer, seed, loaded, done));
+
+  // A backend crash mid-run: its replicas back off, get probed off the
+  // serving path, and come back under a new config id.
+  sim.Spawn([](sim::Simulator& sim, Cell& cell,
+               std::shared_ptr<sim::Notification> loaded) -> sim::Task<void> {
+    co_await loaded->Wait();
+    co_await sim.Delay(sim::Milliseconds(40));
+    (void)co_await cell.CrashAndRestart(4, sim::Milliseconds(20));
+  }(sim, cell, loaded));
+
+  // Three concurrent MultiGet lanes on one reader, so vectors toward the
+  // same backend overlap and queue at the incast gate.
+  auto fp = std::make_shared<uint64_t>(0xcbf29ce484222325ull);
+  for (uint64_t lane = 0; lane < 3; ++lane) {
+    sim.Spawn([](sim::Simulator& sim, Client* r, uint64_t seed,
+                 std::shared_ptr<sim::Notification> loaded,
+                 std::shared_ptr<uint64_t> fp,
+                 std::shared_ptr<int> done) -> sim::Task<void> {
+      auto mix = [&fp](uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+          *fp = (*fp ^ ((v >> (8 * b)) & 0xFF)) * 0x100000001b3ull;
+        }
+      };
+      (void)co_await r->Connect();
+      co_await loaded->Wait();
+      Rng rng(seed ^ 0xB47C4);
+      for (int round = 0; round < 70; ++round) {
+        co_await sim.Delay(
+            sim::Microseconds(int64_t(300 + rng.NextBounded(2500))));
+        std::vector<std::string> keys;
+        const int n = 6 + int(rng.NextBounded(12));
+        for (int i = 0; i < n; ++i) {
+          const int k = rng.NextBool(0.6)
+                            ? int(rng.NextBounded(kBatchHotKeys))
+                            : int(rng.NextBounded(kBatchKeys + 8));
+          keys.push_back("b" + std::to_string(k));
+        }
+        auto batch = co_await r->MultiGet(std::move(keys));
+        for (const auto& res : batch.results) {
+          if (res.ok()) {
+            mix(uint64_t(res->value.size()));
+            mix(uint64_t(uint8_t(res->value[0])));
+            mix((uint64_t(res->version.client_id) << 32) | res->version.seq);
+            mix(res->version.tt_micros);
+          } else {
+            mix(uint64_t(res.status().code()) + 0x1000);
+          }
+        }
+      }
+      ++*done;
+    }(sim, reader, seed + lane * 7919, loaded, fp, done));
+  }
+
+  while (*done < 4 && !sim.empty()) sim.RunSteps(1024);
+  EXPECT_EQ(*done, 4);
+  sim.RunUntil(sim::Milliseconds(400));
+
+  BatchedCapture cap;
+  cap.fault_fingerprint = cell.fabric().faults()->trace_fingerprint();
+  cap.fault_trace_events = cell.fabric().faults()->trace_events();
+  cap.span_fingerprint = cell.tracer().fingerprint();
+  cap.spans_completed = cell.tracer().spans_completed();
+  cap.sim_events = sim.events_processed();
+  cap.final_now = sim.now();
+  const ClientStats& s = reader->stats();
+  cap.hits = s.hits;
+  cap.misses = s.misses;
+  cap.batch_keys = s.batch_keys;
+  cap.batch_vector_ops = s.batch_vector_ops;
+  cap.batch_vector_entries = s.batch_vector_entries;
+  cap.batch_rpc_fallbacks = s.batch_rpc_fallbacks;
+  cap.batch_slowpath_keys = s.batch_slowpath_keys;
+  cap.batch_inflight_waits = s.batch_inflight_waits;
+  cap.spec_reads = s.loccache_speculative_reads;
+  cap.spec_failures = s.loccache_speculative_failures;
+  cap.value_fp = *fp;
+  return cap;
+}
+
+// Recorded before the single-key and batched GET paths were folded onto one
+// read pipeline; the fold must not move any of these.
+TEST(DeterminismAB, BatchedMultiGetMatchesParent) {
+  // SoftNIC: SCAR index phase (data piggybacked on the index read).
+  const BatchedCapture scar =
+      RunBatchedScenario(TransportKind::kSoftNic, 0xBA7Cu);
+  scar.Print("batched-scar");
+  BatchedCapture want_scar;
+  want_scar.fault_fingerprint = 0x50cc15e64a2215c2ull;
+  want_scar.fault_trace_events = 221;
+  want_scar.span_fingerprint = 0x5ce5e1d7e472f70eull;
+  want_scar.spans_completed = 11513;
+  want_scar.sim_events = 25727;
+  want_scar.final_now = 1063779102;
+  want_scar.hits = 1543;
+  want_scar.misses = 155;
+  want_scar.batch_keys = 1698;
+  want_scar.batch_vector_ops = 1496;
+  want_scar.batch_vector_entries = 3731;
+  want_scar.batch_rpc_fallbacks = 173;
+  want_scar.batch_slowpath_keys = 54;
+  want_scar.batch_inflight_waits = 3;
+  want_scar.spec_reads = 566;
+  want_scar.spec_failures = 16;
+  want_scar.value_fp = 0x71e68a6b52e6c50dull;
+  EXPECT_EQ(scar, want_scar);
+
+  // 1RMA: 2xR index phase plus a vectored data phase.
+  const BatchedCapture two_r =
+      RunBatchedScenario(TransportKind::kOneRma, 0xBA7Cu);
+  two_r.Print("batched-2xr");
+  BatchedCapture want_two_r;
+  want_two_r.fault_fingerprint = 0x1a84a8341d14ae2eull;
+  want_two_r.fault_trace_events = 268;
+  want_two_r.span_fingerprint = 0xdba9c8225b5843cull;
+  want_two_r.spans_completed = 15486;
+  want_two_r.sim_events = 30045;
+  want_two_r.final_now = 400000000;
+  want_two_r.hits = 1534;
+  want_two_r.misses = 157;
+  want_two_r.batch_keys = 1698;
+  want_two_r.batch_vector_ops = 1966;
+  want_two_r.batch_vector_entries = 4760;
+  want_two_r.batch_rpc_fallbacks = 182;
+  want_two_r.batch_slowpath_keys = 83;
+  want_two_r.batch_inflight_waits = 6;
+  want_two_r.spec_reads = 512;
+  want_two_r.spec_failures = 7;
+  want_two_r.value_fp = 0x77c58a3a1ccd5943ull;
+  EXPECT_EQ(two_r, want_two_r);
+}
+
 // Same-process replay stability: the scenario is a pure function of its
 // seed regardless of allocator / pool state left over from prior runs.
 TEST(DeterminismAB, ChaosScenarioReplaysIdentically) {

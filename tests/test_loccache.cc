@@ -122,12 +122,10 @@ TEST(LocationCache, ShardInvalidationAndFlush) {
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().invalidations, 2 + 1 + 2);
 
-  // Shrinking the cap evicts immediately; raising the floor only applies
-  // to live entries.
-  cache.Insert(H(6), Loc(0, 600));
+  // Raising the floor only applies to live entries.
   cache.Insert(H(7), Loc(0, 700));
-  cache.SetCapacity(1);
-  EXPECT_EQ(cache.size(), 1u);
+  cache.RaiseVersionFloor(H(6), VersionNumber{200, 1, 1});
+  EXPECT_EQ(cache.Lookup(H(6), 0), nullptr);
   cache.RaiseVersionFloor(H(7), VersionNumber{200, 1, 1});
   if (const CachedLocation* loc = cache.Lookup(H(7), 0)) {
     EXPECT_EQ(loc->version.tt_micros, 200u);

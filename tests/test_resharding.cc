@@ -424,6 +424,32 @@ TEST(ReshardingDirected, LateStreamBatchCannotResurrectErase) {
             StatusCode::kNotFound);
 }
 
+// A miss inside the dual-version window consults the previous owners once:
+// one RPC per previous replica, not one per retry-loop exit.
+TEST(ReshardingDirected, WindowMissProbesEachPreviousOwnerOnce) {
+  sim::Simulator sim;
+  CellOptions o;
+  o.num_shards = 4;
+  o.mode = ReplicationMode::kR32;
+  o.backend.initial_buckets = 64;
+  Cell cell(sim, std::move(o));
+  cell.Start();
+  Client* client = cell.AddClient();
+  ASSERT_TRUE(Await(sim, client->Connect()).ok());
+
+  // Open a topology-preserving window; the client learns of it on refresh.
+  cell.config_service().BeginTransition(cell.config_service().view());
+  ASSERT_TRUE(Await(sim, client->Connect()).ok());
+  ASSERT_TRUE(client->view().transition);
+
+  const int64_t rpc_gets_before = cell.AggregateBackendStats().rpc_gets;
+  EXPECT_EQ(Await(sim, client->Get("never-written")).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(cell.AggregateBackendStats().rpc_gets - rpc_gets_before,
+            ReplicaCount(ReplicationMode::kR32));
+  EXPECT_EQ(client->stats().prev_window_gets, 0);
+}
+
 // A delete that lands on the *old* owner after it started draining bounces
 // with kFailedPrecondition instead of being silently dropped from the
 // migration stream (the client retries against the new topology).
