@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# One-command gate: tier-1 build + tests, then a sanitizer build running the
-# fault-injection (chaos), elasticity (resharding), and self-healing
-# (health) suites.
+# One-command gate: tier-1 build + tests, the perf gates and the sim-time
+# bench pins, then a sanitizer build running the fault-injection (chaos),
+# elasticity (resharding), self-healing (health) and wire-codec (proto)
+# suites, among others.
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast  skip the sanitizer stage (tier-1 only)
@@ -92,6 +93,22 @@ echo "== perf gate: domain-outage survival scalars vs baseline =="
 # full quorum. The fail-fast/spread contrast scalars are informational.
 scripts/perf_gate.sh 'domain_outage:^(availability_dip_frac|time_to_quorum_ms)$'
 
+echo "== sim pins: sim-time bench scalars equal the committed baselines =="
+# Simulated time is deterministic, so a refactor that claims no behaviour
+# change must reproduce these benches' scalars exactly: any difference in
+# `.scalars` against the committed BENCH_*.json fails, with the diff.
+for bench in bench_ablation_quorum bench_fig06_languages \
+             bench_fig11_preferred_backend bench_tenant_isolation \
+             bench_fig16_17_1rma_ramp; do
+  baseline="BENCH_${bench#bench_}.json"
+  if ! diff <("$JQ" -S .scalars "${baseline}") \
+            <(./build/bench/${bench} --json | "$JQ" -S .scalars); then
+    echo "${bench}: scalars differ from ${baseline} (diff above: < baseline, > run)"
+    exit 1
+  fi
+  echo "  ${bench}: ok ($("$JQ" '.scalars | length' "${baseline}") scalars)"
+done
+
 if [[ "$FAST" == "1" ]]; then
   echo "== done (fast mode: sanitizer stage skipped) =="
   exit 0
@@ -101,7 +118,7 @@ echo "== sanitizer (ASan/UBSan): build =="
 cmake -B build-asan -S . -DCM_SANITIZE=ON >/dev/null
 cmake --build build-asan -j
 
-echo "== sanitizer: chaos + resharding + health + tenancy + batch + loccache + quorum + disaster labels =="
-(cd build-asan && ctest --output-on-failure -j "$(nproc)" -L 'chaos|resharding|health|tenancy|batch|loccache|quorum|disaster')
+echo "== sanitizer: chaos + resharding + health + tenancy + batch + loccache + quorum + disaster + proto labels =="
+(cd build-asan && ctest --output-on-failure -j "$(nproc)" -L 'chaos|resharding|health|tenancy|batch|loccache|quorum|disaster|proto')
 
 echo "== all checks passed =="

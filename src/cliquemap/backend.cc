@@ -849,20 +849,6 @@ Bytes AppliedResponse(bool applied) {
   return std::move(w).Take();
 }
 
-// Pairs every successful Admit with exactly one Release across all of a
-// handler's co_return paths (the guard lives in the coroutine frame, so it
-// runs once at frame destruction — safe under gcc 12, unlike awaiter
-// temporaries; see sim/sync.h).
-struct AdmitGuard {
-  AdmissionQueue* q = nullptr;
-  AdmitGuard() = default;
-  AdmitGuard(const AdmitGuard&) = delete;
-  AdmitGuard& operator=(const AdmitGuard&) = delete;
-  ~AdmitGuard() {
-    if (q) q->Release();
-  }
-};
-
 }  // namespace
 
 // Mutations stamped with a cell generation are fenced against the live
@@ -884,22 +870,24 @@ Status Backend::CheckMutationAdmissible(const rpc::WireReader& r) {
   return OkStatus();
 }
 
-sim::Task<StatusOr<Bytes>> Backend::HandleSet(ByteSpan req) {
-  // Tenant admission runs before the handler CPU charge: shedding must
-  // protect the CPU the flood would otherwise burn. With tenancy off
-  // (admission_ null) this block is skipped entirely and the event
-  // sequence matches the pre-tenancy handler exactly.
-  AdmitGuard admit;
-  TenantId tenant = kDefaultTenant;
-  if (admission_) {
-    rpc::WireReader pre(req);
-    tenant = pre.GetU32(proto::kTagTenant).value_or(kDefaultTenant);
-    if (Status s = co_await admission_->Admit(tenant, req.size()); !s.ok()) {
-      ++stats_.tenant_sheds;
-      co_return s;
-    }
-    admit.q = admission_.get();
+sim::Task<StatusOr<TenantId>> Backend::AdmitTenant(ByteSpan req,
+                                                   AdmitGuard& admit) {
+  if (!admission_) co_return kDefaultTenant;
+  const TenantId tenant = rpc::WireReader(req)
+                              .GetU32(proto::kTagTenant)
+                              .value_or(kDefaultTenant);
+  if (Status s = co_await admission_->Admit(tenant, req.size()); !s.ok()) {
+    ++stats_.tenant_sheds;
+    co_return s;
   }
+  admit.q = admission_.get();
+  co_return tenant;
+}
+
+sim::Task<StatusOr<Bytes>> Backend::HandleSet(ByteSpan req) {
+  AdmitGuard admit;
+  const auto tenant = co_await AdmitTenant(req, admit);
+  if (!tenant.ok()) co_return tenant.status();
   co_await fabric_.host(host_).cpu().Run(config_.handler_base_cpu);
   rpc::WireReader r(req);
   auto key = r.GetBytes(proto::kTagKey);
@@ -910,22 +898,15 @@ sim::Task<StatusOr<Bytes>> Backend::HandleSet(ByteSpan req) {
   }
   if (Status s = CheckMutationAdmissible(r); !s.ok()) co_return s;
   auto applied = co_await ApplySet(ToString(*key), *value, *version,
-                                   /*charge_write_time=*/true, tenant);
+                                   /*charge_write_time=*/true, *tenant);
   if (!applied.ok()) co_return applied.status();
   co_return AppliedResponse(*applied);
 }
 
 sim::Task<StatusOr<Bytes>> Backend::HandleErase(ByteSpan req) {
   AdmitGuard admit;
-  if (admission_) {
-    rpc::WireReader pre(req);
-    const TenantId tenant =
-        pre.GetU32(proto::kTagTenant).value_or(kDefaultTenant);
-    if (Status s = co_await admission_->Admit(tenant, req.size()); !s.ok()) {
-      ++stats_.tenant_sheds;
-      co_return s;
-    }
-    admit.q = admission_.get();
+  if (auto tenant = co_await AdmitTenant(req, admit); !tenant.ok()) {
+    co_return tenant.status();
   }
   co_await fabric_.host(host_).cpu().Run(config_.handler_base_cpu);
   rpc::WireReader r(req);
@@ -940,16 +921,8 @@ sim::Task<StatusOr<Bytes>> Backend::HandleErase(ByteSpan req) {
 
 sim::Task<StatusOr<Bytes>> Backend::HandleCas(ByteSpan req) {
   AdmitGuard admit;
-  TenantId tenant = kDefaultTenant;
-  if (admission_) {
-    rpc::WireReader pre(req);
-    tenant = pre.GetU32(proto::kTagTenant).value_or(kDefaultTenant);
-    if (Status s = co_await admission_->Admit(tenant, req.size()); !s.ok()) {
-      ++stats_.tenant_sheds;
-      co_return s;
-    }
-    admit.q = admission_.get();
-  }
+  const auto tenant = co_await AdmitTenant(req, admit);
+  if (!tenant.ok()) co_return tenant.status();
   co_await fabric_.host(host_).cpu().Run(config_.handler_base_cpu);
   rpc::WireReader r(req);
   auto key = r.GetBytes(proto::kTagKey);
@@ -971,7 +944,7 @@ sim::Task<StatusOr<Bytes>> Backend::HandleCas(ByteSpan req) {
     co_return AppliedResponse(false);
   }
   auto applied =
-      co_await ApplySet(ToString(*key), *value, *version, true, tenant);
+      co_await ApplySet(ToString(*key), *value, *version, true, *tenant);
   if (!applied.ok()) co_return applied.status();
   if (*applied) {
     ++stats_.cas_applied;
@@ -985,16 +958,8 @@ sim::Task<StatusOr<Bytes>> Backend::HandleGet(ByteSpan req) {
   // Unlike one-sided RMA GETs, this fallback read burns backend CPU, so it
   // goes through admission and per-tenant byte accounting like any RPC.
   AdmitGuard admit;
-  TenantId tenant = kDefaultTenant;
-  if (admission_) {
-    rpc::WireReader pre(req);
-    tenant = pre.GetU32(proto::kTagTenant).value_or(kDefaultTenant);
-    if (Status s = co_await admission_->Admit(tenant, req.size()); !s.ok()) {
-      ++stats_.tenant_sheds;
-      co_return s;
-    }
-    admit.q = admission_.get();
-  }
+  const auto tenant = co_await AdmitTenant(req, admit);
+  if (!tenant.ok()) co_return tenant.status();
   co_await fabric_.host(host_).cpu().Run(config_.handler_base_cpu);
   ++stats_.rpc_gets;
   rpc::WireReader r(req);
@@ -1003,11 +968,10 @@ sim::Task<StatusOr<Bytes>> Backend::HandleGet(ByteSpan req) {
   LocalLookup hit = LookupLocal(ToString(*key));
   if (!hit.status.ok()) co_return hit.status;
   if (admission_) {
-    admission_->AccountReadBytes(tenant, kIndexEntrySize, hit.value.size());
+    admission_->AccountReadBytes(*tenant, kIndexEntrySize, hit.value.size());
   }
   rpc::WireWriter w;
-  w.PutBytes(proto::kTagValue, hit.value);
-  proto::PutVersion(w, hit.version);
+  proto::PutHit(w, hit.value, hit.version);
   co_return std::move(w).Take();
 }
 
@@ -1027,8 +991,7 @@ sim::Task<StatusOr<Bytes>> Backend::HandleDegradedGet(ByteSpan req) {
   rpc::WireWriter w;
   w.PutU32(proto::kTagStatusCode, static_cast<uint32_t>(hit.status.code()));
   if (hit.status.ok()) {
-    w.PutBytes(proto::kTagValue, hit.value);
-    proto::PutVersion(w, hit.version);
+    proto::PutHit(w, hit.value, hit.version);
   } else if (const VersionNumber* t = tombstones_.Find(config_.hash_fn(k))) {
     // Exact per-key tombstone only — the evicted-tombstone *summary* would
     // fence every degraded read in the cell, not just erased keys.
@@ -1071,16 +1034,8 @@ sim::Task<StatusOr<Bytes>> Backend::HandleMultiGet(ByteSpan req) {
   // admitted cost is the full request size, and read-byte accounting below
   // still covers every key served.
   AdmitGuard admit;
-  TenantId tenant = kDefaultTenant;
-  if (admission_) {
-    rpc::WireReader pre(req);
-    tenant = pre.GetU32(proto::kTagTenant).value_or(kDefaultTenant);
-    if (Status s = co_await admission_->Admit(tenant, req.size()); !s.ok()) {
-      ++stats_.tenant_sheds;
-      co_return s;
-    }
-    admit.q = admission_.get();
-  }
+  const auto tenant = co_await AdmitTenant(req, admit);
+  if (!tenant.ok()) co_return tenant.status();
   rpc::WireReader r(req);
   const size_t n = r.CountBytes(proto::kTagKey);
   if (n == 0) co_return InvalidArgumentError("MultiGet: no keys");
@@ -1108,14 +1063,13 @@ sim::Task<StatusOr<Bytes>> Backend::HandleMultiGet(ByteSpan req) {
                static_cast<uint32_t>(hit.status.code()));
     if (hit.status.ok()) {
       read_bytes += static_cast<int64_t>(hit.value.size());
-      sub.PutBytes(proto::kTagValue, hit.value);
-      proto::PutVersion(sub, hit.version);
+      proto::PutHit(sub, hit.value, hit.version);
     }
     w.PutBytes(proto::kTagResult, std::move(sub).Take());
   }
   if (admission_) {
     admission_->AccountReadBytes(
-        tenant, static_cast<int64_t>(n) * kIndexEntrySize, read_bytes);
+        *tenant, static_cast<int64_t>(n) * kIndexEntrySize, read_bytes);
   }
   co_return std::move(w).Take();
 }
@@ -1203,8 +1157,7 @@ sim::Task<StatusOr<Bytes>> Backend::HandleGetByHash(ByteSpan req) {
     if (const auto* ov = FindOverflowByHash(hash)) {
       rpc::WireWriter w;
       w.PutString(proto::kTagKey, ov->first);
-      w.PutBytes(proto::kTagValue, ov->second.first);
-      proto::PutVersion(w, ov->second.second);
+      proto::PutHit(w, ov->second.first, ov->second.second);
       co_return std::move(w).Take();
     }
     co_return NotFoundError("hash not resident");
@@ -1216,8 +1169,7 @@ sim::Task<StatusOr<Bytes>> Backend::HandleGetByHash(ByteSpan req) {
   if (!view.ok()) co_return view.status();
   rpc::WireWriter w;
   w.PutString(proto::kTagKey, view->key);
-  w.PutBytes(proto::kTagValue, view->value);
-  proto::PutVersion(w, view->version);
+  proto::PutHit(w, view->value, view->version);
   co_return std::move(w).Take();
 }
 
@@ -1570,10 +1522,10 @@ sim::Task<void> Backend::RepairKey(uint32_t shard, Hash128 hash,
     if (!got.ok()) co_return;
     rpc::WireReader rr(*got);
     auto k = rr.GetBytes(proto::kTagKey);
-    auto v = rr.GetBytes(proto::kTagValue);
-    if (!k || !v) co_return;
+    auto hit = proto::GetHit(rr);
+    if (!k || !hit) co_return;
     key = ToString(*k);
-    value.assign(v->begin(), v->end());
+    value.assign(hit->value.begin(), hit->value.end());
   }
 
   if (pure_missing) {

@@ -259,6 +259,27 @@ class Backend {
   sim::Task<StatusOr<Bytes>> HandleMultiGet(ByteSpan req);
   sim::Task<StatusOr<Bytes>> HandleTouch(ByteSpan req);
 
+  // Pairs every successful Admit with exactly one Release across all of a
+  // handler's co_return paths (the guard lives in the coroutine frame, so it
+  // runs once at frame destruction — safe under gcc 12, unlike awaiter
+  // temporaries; see sim/sync.h).
+  struct AdmitGuard {
+    AdmissionQueue* q = nullptr;
+    AdmitGuard() = default;
+    AdmitGuard(const AdmitGuard&) = delete;
+    AdmitGuard& operator=(const AdmitGuard&) = delete;
+    ~AdmitGuard() {
+      if (q) q->Release();
+    }
+  };
+  // Tenant admission for the dataplane handlers (Set, Erase, Cas, Get,
+  // MultiGet), run before their CPU charge: shedding must protect the CPU
+  // the flood would otherwise burn. Returns the request's tenant and arms
+  // `admit`, or RESOURCE_EXHAUSTED (counted in tenant_sheds). With tenancy
+  // off (admission_ null) it awaits nothing and admits the default tenant,
+  // so the event sequence matches the pre-tenancy handler exactly.
+  sim::Task<StatusOr<TenantId>> AdmitTenant(ByteSpan req, AdmitGuard& admit);
+
   // Shared core of the RPC read paths: index lookup, data decode, overflow
   // fallback. Pure local computation — callers charge CPU and do admission.
   struct LocalLookup {

@@ -14,6 +14,30 @@ namespace {
 constexpr int kBatchMaxInflightPerBackend = 2;
 constexpr sim::Duration kBatchIssueGap = sim::Microseconds(2);
 
+// Skip interval for a replica after a connection failure (§7.2.3): the
+// decorrelated jitter of NoteReplicaFailure stays in [base, max].
+constexpr sim::Duration kReplicaBackoff = sim::Milliseconds(200);
+constexpr sim::Duration kReplicaBackoffMax = sim::Seconds(2);
+
+// Full-jittered exponential backoff between GET retry attempts.
+constexpr sim::Duration kRetryBackoffBase = sim::Microseconds(50);
+constexpr sim::Duration kRetryBackoffMax = sim::Milliseconds(2);
+
+// Client-library CPU per RMA op issued / per response validated (Figs 6b, 7).
+constexpr sim::Duration kIssueCpu = sim::Nanoseconds(400);
+constexpr sim::Duration kValidateCpu = sim::Nanoseconds(250);
+
+// Gray-failure defense (§7.2.3): the per-replica index-fetch latency EWMA
+// weight, and the ClientConfig::eject_slow_replicas outlier threshold
+// (EWMA above this multiple of the fastest live replica's).
+constexpr double kEwmaAlpha = 0.2;
+constexpr double kSlowEjectFactor = 4.0;
+
+// Per-probe budget of the RPC fallbacks that usually run with the op
+// deadline already spent: the degraded pass and previous-owner reads.
+constexpr sim::Duration kDegradedProbeGrace = sim::Milliseconds(1);
+constexpr sim::Duration kPrevWindowGrace = sim::Microseconds(500);
+
 // Entry `j` of a vectored op's result: the whole-vector failure when the op
 // was lost, else the entry's own outcome.
 template <typename T>
@@ -40,9 +64,6 @@ Client::Client(net::Fabric& fabric, rpc::RpcNetwork& rpc_network,
       rng_(0x5eedC11E4DABull ^ (uint64_t{config.client_id} * 0x9E3779B97F4A7C15ull)),
       alive_(std::make_shared<bool>(true)),
       loccache_(config.loccache_entries),
-      spec_governor_(SpeculationGovernor::Options{
-          config.spec_disable_failure_ratio, config.spec_min_samples,
-          config.spec_window_samples, config.spec_cooldown}),
       exports_(&fabric.metrics()) {
   const metrics::Labels l = {{"client", std::to_string(config_.client_id)}};
   exports_.ExportCounter("cm.client.gets", l, &stats_.gets);
@@ -163,8 +184,8 @@ sim::Task<Status> Client::RefreshConfig() {
 
   // RMA-plane policing: provision this tenant's buckets from the registry
   // riding alongside the view. Untenanted clients skip the lookup entirely.
+  rpc::WireReader r(*resp);
   if (config_.tenant != kDefaultTenant) {
-    rpc::WireReader r(*resp);
     if (auto blob = r.GetBytes(proto::kTagTenantRegistry)) {
       // Re-provisioning resets bucket balances, so only do it when the
       // registry actually changed — a routine view refresh must not hand a
@@ -175,17 +196,13 @@ sim::Task<Status> Client::RefreshConfig() {
         tenant_provisioned_ = true;
         tenant_registry_version_ = reg->version();
         if (const TenantSpec* spec = reg->Find(config_.tenant)) {
-          tenant_reads_bucket_ =
-              spec->rma_reads_per_sec > 0
-                  ? TokenBucket(spec->rma_reads_per_sec,
-                                std::max(4.0, spec->rma_reads_per_sec * 0.25))
-                  : TokenBucket();
-          tenant_bytes_bucket_ =
-              spec->rma_bytes_per_sec > 0
-                  ? TokenBucket(spec->rma_bytes_per_sec,
-                                std::max(4096.0,
-                                         spec->rma_bytes_per_sec * 0.25))
-                  : TokenBucket();
+          // Burst: a quarter-second of quota, at least `floor`.
+          auto quota = [](double rate, double floor) {
+            return rate > 0 ? TokenBucket(rate, std::max(floor, rate * 0.25))
+                            : TokenBucket();
+          };
+          tenant_reads_bucket_ = quota(spec->rma_reads_per_sec, 4.0);
+          tenant_bytes_bucket_ = quota(spec->rma_bytes_per_sec, 4096.0);
           tenant_limited_ = !tenant_reads_bucket_.unlimited() ||
                             !tenant_bytes_bucket_.unlimited();
         }
@@ -220,14 +237,11 @@ sim::Task<Status> Client::RefreshConfig() {
   // (absent — and implicitly 0 — before then): an epoch move means a
   // backend joined or left, possibly without a per-shard host diff this
   // client can see (e.g. a spare absorbed a failover and back).
-  {
-    rpc::WireReader er(*resp);
-    const uint64_t epoch =
-        er.GetU64(proto::kTagMembershipEpoch).value_or(membership_epoch_);
-    if (epoch != membership_epoch_) {
-      membership_epoch_ = epoch;
-      loccache_.Flush();
-    }
+  if (const uint64_t epoch =
+          r.GetU64(proto::kTagMembershipEpoch).value_or(membership_epoch_);
+      epoch != membership_epoch_) {
+    membership_epoch_ = epoch;
+    loccache_.Flush();
   }
   view_ = std::move(fresh);
   view_valid_ = true;
@@ -296,12 +310,11 @@ void Client::NoteReplicaFailure(uint32_t shard) {
   // Decorrelated jitter: sleep = min(cap, uniform[base, 3 * prev_sleep]).
   // Grows toward the cap under persistent failure, and spreads a fleet of
   // clients out so a recovering backend is not hit by a probe incast.
-  const sim::Duration base = config_.replica_backoff;
-  const sim::Duration prev = std::max(conn.backoff_cur, base);
-  const auto span = double(3 * prev - base);
+  const sim::Duration prev = std::max(conn.backoff_cur, kReplicaBackoff);
+  const auto span = double(3 * prev - kReplicaBackoff);
   const auto next = std::min<sim::Duration>(
-      config_.replica_backoff_max,
-      base + static_cast<sim::Duration>(rng_.NextDouble() * span));
+      kReplicaBackoffMax,
+      kReplicaBackoff + static_cast<sim::Duration>(rng_.NextDouble() * span));
   conn.backoff_cur = next;
   conn.dead_until = sim_.now() + next;
   ++stats_.backoff_events;
@@ -341,19 +354,8 @@ sim::Task<StatusOr<GetResult>> Client::Get(std::string key, GetOptions opts) {
   const sim::Time start = sim_.now();
   OpContext ctx = MakeContext(opts, trace::kNoSpan);
   ++stats_.gets;
-  // RMA-plane policing: one-sided reads bypass the backend CPU, so the
-  // quota is enforced here, before any fabric traffic. The bytes bucket is
-  // post-paid (the value size is unknown until the read lands), so a
-  // tenant in byte-debt sheds until the bucket refills. Never silent:
-  // RESOURCE_EXHAUSTED + cm.tenant.shed. The client's buckets police its
-  // own tenant only; an override tenant is attributed backend-side.
-  if (tenant_limited_ && ctx.tenant == config_.tenant) {
-    const sim::Time now = sim_.now();
-    if (!tenant_reads_bucket_.TryAcquire(now, 1.0) ||
-        tenant_bytes_bucket_.available(now) < 0) {
-      ++stats_.tenant_shed;
-      co_return ResourceExhaustedError("tenant rma quota exceeded");
-    }
+  if (!AcquireTenantReads(ctx, 1)) {
+    co_return ResourceExhaustedError("tenant rma quota exceeded");
   }
   ctx.hash = config_.hash_fn(key);
   trace::Tracer& tracer = fabric_.tracer();
@@ -404,8 +406,7 @@ sim::Task<StatusOr<GetResult>> Client::Get(std::string key, GetOptions opts) {
     // every client whose op raced the same fault retries at the same
     // instant, turning one drop into a retry incast.
     const sim::Duration cap = std::min<sim::Duration>(
-        config_.retry_backoff_max,
-        config_.retry_backoff_base << std::min(attempt, 10));
+        kRetryBackoffMax, kRetryBackoffBase << std::min(attempt, 10));
     sim::Duration sleep = static_cast<sim::Duration>(
         rng_.NextDouble() * double(cap));
     sleep = std::min<sim::Duration>(sleep, ctx.deadline_at - sim_.now());
@@ -453,16 +454,6 @@ sim::Task<StatusOr<GetResult>> Client::Get(std::string key, GetOptions opts) {
     }
   }
 
-  // Transparent decompression (stored values are marker-prefixed).
-  if (result.ok() && config_.compress_values) {
-    auto raw = DecompressValue(result->value);
-    if (raw.ok()) {
-      result->value = std::move(raw).value();
-    } else {
-      result = raw.status();
-    }
-  }
-
   // "A second failure ... causes the dirty quorum to degrade to an
   // inquorate state, which is treated as a cache miss" (§5.4): once the
   // retry budget is spent and the op still cannot form a quorum, report a
@@ -472,24 +463,49 @@ sim::Task<StatusOr<GetResult>> Client::Get(std::string key, GetOptions opts) {
     result = NotFoundError("inquorate (degraded dirty quorum; miss)");
   }
 
-  if (tenant_limited_ && ctx.tenant == config_.tenant && result.ok()) {
-    const int64_t bytes = int64_t(result->value.size());
-    stats_.tenant_rma_bytes += bytes;
-    tenant_bytes_bucket_.Debit(sim_.now(), double(bytes));
-  }
-
-  stats_.get_latency_ns.Record(sim_.now() - start);
+  FinishGet(result, ctx.hash, view_.num_shards(), start);
+  if (result.ok()) DebitTenantBytes(ctx, int64_t(result->value.size()));
   tracer.End(ctx.span, result.ok() ? 1 : 0);
+  co_return result;
+}
+
+bool Client::AcquireTenantReads(const OpContext& ctx, int64_t reads) {
+  if (!tenant_limited_ || ctx.tenant != config_.tenant) return true;
+  const sim::Time now = sim_.now();
+  if (tenant_reads_bucket_.TryAcquire(now, double(reads)) &&
+      tenant_bytes_bucket_.available(now) >= 0) {
+    return true;
+  }
+  stats_.tenant_shed += reads;
+  return false;
+}
+
+void Client::DebitTenantBytes(const OpContext& ctx, int64_t bytes) {
+  if (!tenant_limited_ || ctx.tenant != config_.tenant) return;
+  stats_.tenant_rma_bytes += bytes;
+  tenant_bytes_bucket_.Debit(sim_.now(), double(bytes));
+}
+
+void Client::FinishGet(StatusOr<GetResult>& result, const Hash128& hash,
+                       uint32_t num_shards, sim::Time start) {
+  // Transparent decompression (stored values are marker-prefixed).
+  if (result.ok() && config_.compress_values) {
+    auto raw = DecompressValue(result->value);
+    if (raw.ok()) {
+      result->value = std::move(raw).value();
+    } else {
+      result = raw.status();
+    }
+  }
   if (result.ok()) {
     ++stats_.hits;
-    const uint32_t primary = PrimaryShard(ctx.hash, view_.num_shards());
-    RecordTouch(ctx.hash, primary);
+    RecordTouch(hash, PrimaryShard(hash, num_shards));
   } else if (result.status().code() == StatusCode::kNotFound) {
     ++stats_.misses;
   } else {
     ++stats_.get_errors;
   }
-  co_return result;
+  stats_.get_latency_ns.Record(sim_.now() - start);
 }
 
 sim::Task<MultiGetResult> Client::MultiGet(std::vector<std::string> keys,
@@ -568,16 +584,11 @@ sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
   // RMA-plane policing: one read-token acquire for the whole batch. Bytes
   // are post-paid once, below; keys that bounce to the single-key slowpath
   // pay that path's own toll (their retry really is another read).
-  if (tenant_limited_ && ctx.tenant == config_.tenant) {
-    const sim::Time now = sim_.now();
-    if (!tenant_reads_bucket_.TryAcquire(now, double(slots.size())) ||
-        tenant_bytes_bucket_.available(now) < 0) {
-      stats_.tenant_shed += static_cast<int64_t>(slots.size());
-      for (size_t slot : slots) {
-        out->results[slot] = ResourceExhaustedError("tenant rma quota exceeded");
-      }
-      co_return;
+  if (!AcquireTenantReads(ctx, static_cast<int64_t>(slots.size()))) {
+    for (size_t slot : slots) {
+      out->results[slot] = ResourceExhaustedError("tenant rma quota exceeded");
     }
+    co_return;
   }
 
   const uint32_t n = view_.num_shards();
@@ -617,13 +628,7 @@ sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
       if (k.phase != Phase::kIndex) continue;
       for (uint32_t shard : k.targets) shard_ok.emplace(shard, false);
     }
-    for (auto& [shard, ok] : shard_ok) {
-      const ConnStep step = PlanConnect(shard);
-      ok = step == ConnStep::kReady;
-      if (step == ConnStep::kHandshake) {
-        ok = (co_await EnsureConnected(shard)).ok();
-      }
-    }
+    for (auto& [shard, ok] : shard_ok) ok = co_await ConnectReplica(shard);
     for (KeyState& k : ks) {
       if (k.phase != Phase::kIndex) continue;
       std::erase_if(k.targets,
@@ -850,16 +855,14 @@ sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
       for (size_t i : items) ks[i].phase = Phase::kSlow;
       continue;
     }
-    rpc::WireWriter w;
-    for (size_t i : items) w.PutString(proto::kTagKey, keys[ks[i].slot]);
-    if (ctx.tenant != kDefaultTenant) {
-      w.PutU32(proto::kTagTenant, ctx.tenant);
-    }
+    std::vector<std::string_view> batch_keys;
+    for (size_t i : items) batch_keys.push_back(keys[ks[i].slot]);
     ++stats_.batch_rpc_fallbacks;
     ++out->stats.rpc_fallbacks;
     stats_.rpc_fallback_gets += static_cast<int64_t>(items.size());
     rpc::RpcChannel ch(rpc_network_, host_, view_.shard_hosts[shard]);
-    auto resp = co_await ch.Call(proto::kMethodMultiGet, std::move(w).Take(),
+    auto resp = co_await ch.Call(proto::kMethodMultiGet,
+                                 proto::GetRequest(batch_keys, ctx.tenant),
                                  remaining, ctx.span);
     if (!resp.ok()) {
       for (size_t i : items) ks[i].phase = Phase::kSlow;
@@ -879,11 +882,8 @@ sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
       const auto code = sub.GetU32(proto::kTagStatusCode)
                             .value_or(uint32_t(StatusCode::kInternal));
       if (code == uint32_t(StatusCode::kOk)) {
-        auto value = sub.GetBytes(proto::kTagValue);
-        auto version = proto::GetVersion(sub);
-        if (value && version) {
-          out->results[k.slot] =
-              GetResult{Bytes(value->begin(), value->end()), *version};
+        if (auto hit = proto::GetHit(sub)) {
+          out->results[k.slot] = GetResult::Copy(*hit);
           k.phase = Phase::kDone;
         } else {
           k.phase = Phase::kSlow;
@@ -904,29 +904,10 @@ sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
     if (k.phase != Phase::kDone) continue;
     ++stats_.gets;
     StatusOr<GetResult>& r = out->results[k.slot];
-    if (r.ok() && config_.compress_values) {
-      auto raw = DecompressValue(r->value);
-      if (raw.ok()) {
-        r->value = std::move(raw).value();
-      } else {
-        r = raw.status();
-      }
-    }
-    if (r.ok()) {
-      ++stats_.hits;
-      debit_bytes += static_cast<int64_t>(r->value.size());
-      RecordTouch(k.hash, PrimaryShard(k.hash, n));
-    } else if (r.status().code() == StatusCode::kNotFound) {
-      ++stats_.misses;
-    } else {
-      ++stats_.get_errors;
-    }
-    stats_.get_latency_ns.Record(sim_.now() - start);
+    FinishGet(r, k.hash, n, start);
+    if (r.ok()) debit_bytes += static_cast<int64_t>(r->value.size());
   }
-  if (tenant_limited_ && ctx.tenant == config_.tenant && debit_bytes > 0) {
-    stats_.tenant_rma_bytes += debit_bytes;
-    tenant_bytes_bucket_.Debit(sim_.now(), double(debit_bytes));
-  }
+  if (debit_bytes > 0) DebitTenantBytes(ctx, debit_bytes);
 
   // --- Slowpath: anything the batch could not cleanly resolve retries as
   // an ordinary single-key Get (same options), concurrently. This is what
@@ -1015,12 +996,7 @@ sim::Task<StatusOr<GetResult>> Client::GetOnce(const std::string& key,
     std::vector<uint32_t> connected;
     connected.reserve(targets.size());
     for (uint32_t shard : targets) {
-      const ConnStep step = PlanConnect(shard);
-      bool ok = step == ConnStep::kReady;
-      if (step == ConnStep::kHandshake) {
-        ok = (co_await EnsureConnected(shard)).ok();
-      }
-      if (ok) connected.push_back(shard);
+      if (co_await ConnectReplica(shard)) connected.push_back(shard);
     }
     targets = std::move(connected);
     if (static_cast<int>(targets.size()) < quorum) {
@@ -1043,7 +1019,7 @@ sim::Task<StatusOr<GetResult>> Client::GetOnce(const std::string& key,
       std::vector<uint32_t> kept;
       std::vector<uint32_t> slow;
       for (uint32_t shard : targets) {
-        if (conns_[shard].lat_ewma_ns > config_.slow_eject_factor * best) {
+        if (conns_[shard].lat_ewma_ns > kSlowEjectFactor * best) {
           slow.push_back(shard);
         } else {
           kept.push_back(shard);
@@ -1130,10 +1106,7 @@ sim::Task<StatusOr<GetResult>> Client::GetOnce(const std::string& key,
       ++stats_.torn_reads;  // pointer raced an eviction/mutation
       co_return AbortedError("scar returned no data");
     }
-    const sim::Time v_start = sim_.now();
-    stats_.validate_cpu_ns += config_.validate_cpu;
-    co_await fabric_.host(host_).cpu().Run(config_.validate_cpu);
-    fabric_.tracer().AddSpan("validate", ctx.span, v_start, sim_.now(), host_);
+    co_await ChargeValidate(ctx.span);
     auto res = ValidateData(winner.scar_data, key, ctx.hash,
                             winner.entry.version);
     if (res.ok()) CacheWinningVote(ctx.hash, winner, ctx);
@@ -1223,14 +1196,14 @@ std::vector<uint32_t> Client::SelectReplicas(uint32_t primary) {
   return targets;
 }
 
-Client::ConnStep Client::PlanConnect(uint32_t shard) {
-  if (shard >= conns_.size()) return ConnStep::kSkip;  // cell shrank
+sim::Task<bool> Client::ConnectReplica(uint32_t shard) {
+  if (shard >= conns_.size()) co_return false;  // cell shrank
   Conn& conn = conns_[shard];
   if (conn.connected && conn.config_id == view_.shard_config_ids[shard] &&
       conn.host == view_.shard_hosts[shard]) {
-    return ConnStep::kReady;
+    co_return true;
   }
-  if (!conn.ever_failed) return ConnStep::kHandshake;
+  if (!conn.ever_failed) co_return (co_await EnsureConnected(shard)).ok();
   if (!conn.probe_in_flight) {
     conn.probe_in_flight = true;
     sim_.Spawn([](Client* self, uint32_t shard,
@@ -1241,7 +1214,7 @@ Client::ConnStep Client::PlanConnect(uint32_t shard) {
       }
     }(this, shard, alive_));
   }
-  return ConnStep::kSkip;
+  co_return false;
 }
 
 void Client::NoteReadFault(const Status& status, uint32_t shard) {
@@ -1273,8 +1246,7 @@ sim::Task<void> Client::IssueVector(
     std::vector<rma::ReadVEntry> reads, std::vector<rma::ScarVEntry> scars,
     trace::SpanId span, std::shared_ptr<sim::Channel<VectorResult>> results) {
   co_await AcquireIssueSlot(shard);
-  stats_.issue_cpu_ns += config_.issue_cpu;
-  co_await fabric_.host(host_).cpu().Run(config_.issue_cpu);
+  co_await ChargeIssue();
   VectorResult b;
   b.shard = shard;
   b.ways = ways;
@@ -1309,9 +1281,20 @@ sim::Task<std::optional<Client::VectorResult>> Client::AwaitVector(
   auto b = co_await results.RecvFor(remaining);
   if (!b) co_return std::nullopt;
   --pending;
-  stats_.validate_cpu_ns += config_.validate_cpu;
-  co_await fabric_.host(host_).cpu().Run(config_.validate_cpu);
+  co_await ChargeValidate(trace::kNoSpan);
   co_return b;
+}
+
+sim::Task<void> Client::ChargeIssue() {
+  stats_.issue_cpu_ns += kIssueCpu;
+  return fabric_.host(host_).cpu().Run(kIssueCpu);
+}
+
+sim::Task<void> Client::ChargeValidate(trace::SpanId span) {
+  const sim::Time start = sim_.now();
+  stats_.validate_cpu_ns += kValidateCpu;
+  co_await fabric_.host(host_).cpu().Run(kValidateCpu);
+  fabric_.tracer().AddSpan("validate", span, start, sim_.now(), host_);
 }
 
 // Decodes one bucket read into a vote: short-read guard, config-id fence,
@@ -1361,61 +1344,48 @@ sim::Task<void> Client::FetchIndex(
   trace::Tracer& tracer = fabric_.tracer();
   // arg at End: replica index on success, -1 on failure.
   const trace::SpanId span = tracer.Begin("quorum_fetch", ctx.span, host_);
-  stats_.issue_cpu_ns += config_.issue_cpu;
-  co_await fabric_.host(host_).cpu().Run(config_.issue_cpu);
+  co_await ChargeIssue();
   const uint64_t bucket = BucketIndex(ctx.hash, conn.num_buckets);
   const uint64_t offset = bucket * BucketBytes(conn.ways);
   const auto length = static_cast<uint32_t>(BucketBytes(conn.ways));
 
   BufferView bucket_bytes;
+  Status status;
   if (use_scar) {
     auto r = co_await transport_->ScanAndRead(
         host_, conn.host, conn.index_region, offset, length, ctx.hash.hi,
         ctx.hash.lo, span);
-    if (!r.ok()) {
-      vote.status = r.status();
-      tracer.End(span, -1);
-      votes->Send(std::move(vote));
-      co_return;
+    if (r.ok()) {
+      bucket_bytes = std::move(r->bucket);
+      vote.scar_data = std::move(r->data);
+    } else {
+      status = r.status();
     }
-    bucket_bytes = std::move(r->bucket);
-    vote.scar_data = std::move(r->data);
   } else {
     auto r = co_await transport_->Read(host_, conn.host, conn.index_region,
                                        offset, length, span);
-    if (!r.ok()) {
-      vote.status = r.status();
-      tracer.End(span, -1);
-      votes->Send(std::move(vote));
-      co_return;
+    if (r.ok()) {
+      bucket_bytes = *std::move(r);
+    } else {
+      status = r.status();
     }
-    bucket_bytes = *std::move(r);
   }
-
-  const sim::Time v_start = sim_.now();
-  stats_.validate_cpu_ns += config_.validate_cpu;
-  co_await fabric_.host(host_).cpu().Run(config_.validate_cpu);
-  tracer.AddSpan("validate", span, v_start, sim_.now(), host_);
-  if (Status s =
-          DecodeBucketVote(bucket_bytes, shard, ctx.hash, conn.ways, &vote);
-      !s.ok()) {
-    vote.status = std::move(s);
-    tracer.End(span, -1);
-    votes->Send(std::move(vote));
-    co_return;
+  if (status.ok()) {
+    co_await ChargeValidate(span);
+    status = DecodeBucketVote(bucket_bytes, shard, ctx.hash, conn.ways, &vote);
   }
   // Feed the replica's latency EWMA (outlier ejection input). Successful
   // fetches only: failures are handled by the backoff machinery.
-  if (shard < conns_.size()) {
+  if (status.ok() && shard < conns_.size()) {
     Conn& live = conns_[shard];
     const double sample = static_cast<double>(sim_.now() - fetch_start);
     live.lat_ewma_ns = live.lat_ewma_ns == 0.0
                            ? sample
-                           : config_.ewma_alpha * sample +
-                                 (1.0 - config_.ewma_alpha) * live.lat_ewma_ns;
+                           : kEwmaAlpha * sample +
+                                 (1.0 - kEwmaAlpha) * live.lat_ewma_ns;
   }
-  vote.status = OkStatus();
-  tracer.End(span, replica);
+  tracer.End(span, status.ok() ? replica : -1);
+  vote.status = std::move(status);
   votes->Send(std::move(vote));
 }
 
@@ -1424,25 +1394,26 @@ sim::Task<StatusOr<GetResult>> Client::FetchData(const std::string& key,
                                                  IndexEntry entry,
                                                  OpContext ctx) {
   if (shard >= conns_.size()) co_return UnavailableError("cell shrank");
-  const Conn conn = conns_[shard];
   trace::Tracer& tracer = fabric_.tracer();
   const trace::SpanId span = tracer.Begin("data_fetch", ctx.span, host_);
-  stats_.issue_cpu_ns += config_.issue_cpu;
-  co_await fabric_.host(host_).cpu().Run(config_.issue_cpu);
-  auto r = co_await transport_->Read(host_, conn.host, entry.pointer.region,
-                                     entry.pointer.offset, entry.pointer.size,
-                                     span);
+  auto r = co_await ReadDataEntry(conns_[shard].host, entry.pointer, span);
   if (!r.ok()) {
     NoteReadFault(r.status(), shard);
     tracer.End(span, -1);
     co_return r.status();
   }
-  const sim::Time v_start = sim_.now();
-  stats_.validate_cpu_ns += config_.validate_cpu;
-  co_await fabric_.host(host_).cpu().Run(config_.validate_cpu);
-  tracer.AddSpan("validate", span, v_start, sim_.now(), host_);
   tracer.End(span, static_cast<int64_t>(r->size()));
   co_return ValidateData(*r, key, ctx.hash, entry.version);
+}
+
+sim::Task<StatusOr<BufferView>> Client::ReadDataEntry(net::HostId target,
+                                                      const Pointer& p,
+                                                      trace::SpanId span) {
+  co_await ChargeIssue();
+  auto r = co_await transport_->Read(host_, target, p.region, p.offset, p.size,
+                                     span);
+  if (r.ok()) co_await ChargeValidate(span);
+  co_return r;
 }
 
 StatusOr<GetResult> Client::ValidateData(const BufferView& blob,
@@ -1552,26 +1523,14 @@ sim::Task<std::optional<GetResult>> Client::SpeculativeGet(
     const std::string& key, const OpContext& ctx) {
   const std::optional<CachedLocation> loc = LookupSpeculation(ctx.hash);
   if (!loc) co_return std::nullopt;
-  const net::HostId target = conns_[loc->shard].host;
 
   ++stats_.loccache_speculative_reads;
   trace::Tracer& tracer = fabric_.tracer();
   const trace::SpanId span = tracer.Begin("spec_read", ctx.span, host_);
-  stats_.issue_cpu_ns += config_.issue_cpu;
-  co_await fabric_.host(host_).cpu().Run(config_.issue_cpu);
-  auto r = co_await transport_->Read(host_, target, loc->pointer.region,
-                                     loc->pointer.offset, loc->pointer.size,
-                                     span);
-  StatusOr<GetResult> res = InternalError("speculation unresolved");
-  if (r.ok()) {
-    const sim::Time v_start = sim_.now();
-    stats_.validate_cpu_ns += config_.validate_cpu;
-    co_await fabric_.host(host_).cpu().Run(config_.validate_cpu);
-    tracer.AddSpan("validate", span, v_start, sim_.now(), host_);
-    res = ValidateSpeculative(*r, key, ctx.hash, loc->version);
-  } else {
-    res = r.status();
-  }
+  auto r = co_await ReadDataEntry(conns_[loc->shard].host, loc->pointer, span);
+  StatusOr<GetResult> res =
+      r.ok() ? ValidateSpeculative(*r, key, ctx.hash, loc->version)
+             : StatusOr<GetResult>(r.status());
   // A failure hands the GET to the quorum path — never a retry of the
   // speculation itself.
   if (!SettleSpeculation(ctx.hash, loc->shard, res)) {
@@ -1593,21 +1552,14 @@ sim::Task<StatusOr<GetResult>> Client::GetViaRpc(const std::string& key,
   if (shard >= view_.num_shards()) co_return UnavailableError("cell shrank");
   const sim::Duration remaining = ctx.deadline_at - sim_.now();
   if (remaining <= 0) co_return DeadlineExceededError("rpc get");
-  rpc::WireWriter w;
-  w.PutString(proto::kTagKey, key);
-  if (ctx.tenant != kDefaultTenant) {
-    // The RPC fallback read touches backend CPU: attribute it.
-    w.PutU32(proto::kTagTenant, ctx.tenant);
-  }
   rpc::RpcChannel ch(rpc_network_, host_, view_.shard_hosts[shard]);
-  auto resp = co_await ch.Call(proto::kMethodGet, std::move(w).Take(),
-                               remaining, ctx.span);
+  auto resp = co_await ch.Call(proto::kMethodGet,
+                               proto::GetRequest(key, ctx.tenant), remaining,
+                               ctx.span);
   if (!resp.ok()) co_return resp.status();
-  rpc::WireReader r(*resp);
-  auto value = r.GetBytes(proto::kTagValue);
-  auto version = proto::GetVersion(r);
-  if (!value || !version) co_return InternalError("malformed Get response");
-  co_return GetResult{Bytes(value->begin(), value->end()), *version};
+  auto hit = proto::GetHit(rpc::WireReader(*resp));
+  if (!hit) co_return InternalError("malformed Get response");
+  co_return GetResult::Copy(*hit);
 }
 
 sim::Task<StatusOr<GetResult>> Client::PrevWindowGet(const std::string& key,
@@ -1625,9 +1577,9 @@ sim::Task<StatusOr<GetResult>> Client::PrevWindowGet(const std::string& key,
   const int replicas = ReplicaCount(view.prev_mode);
   const uint32_t primary = PrimaryShard(ctx.hash, n);
 
-  rpc::WireWriter w;
-  w.PutString(proto::kTagKey, key);
-  const Bytes request = std::move(w).Take();
+  // Tenant-stamped like any RPC read: the previous owner's admission and
+  // read-byte accounting attribute it.
+  const Bytes request = proto::GetRequest(key, ctx.tenant);
 
   Status last = NotFoundError("absent at previous owners");
   for (int r = 0; r < replicas; ++r) {
@@ -1635,8 +1587,8 @@ sim::Task<StatusOr<GetResult>> Client::PrevWindowGet(const std::string& key,
         view.prev_shard_hosts[ReplicaShard(primary, r, n)];
     // The main attempt may already have spent the op deadline; grant a
     // small grace budget — the fallback is a single cheap RPC per replica.
-    const sim::Duration remaining = std::max<sim::Duration>(
-        ctx.deadline_at - sim_.now(), sim::Microseconds(500));
+    const sim::Duration remaining =
+        std::max<sim::Duration>(ctx.deadline_at - sim_.now(), kPrevWindowGrace);
     rpc::RpcChannel ch(rpc_network_, host_, target);
     auto resp =
         co_await ch.Call(proto::kMethodGet, request, remaining, ctx.span);
@@ -1644,11 +1596,9 @@ sim::Task<StatusOr<GetResult>> Client::PrevWindowGet(const std::string& key,
       if (resp.status().code() != StatusCode::kNotFound) last = resp.status();
       continue;
     }
-    rpc::WireReader rr(*resp);
-    auto value = rr.GetBytes(proto::kTagValue);
-    auto version = proto::GetVersion(rr);
-    if (!value || !version) continue;
-    co_return GetResult{Bytes(value->begin(), value->end()), *version};
+    if (auto hit = proto::GetHit(rpc::WireReader(*resp))) {
+      co_return GetResult::Copy(*hit);
+    }
   }
   co_return last.code() == StatusCode::kNotFound
       ? NotFoundError("absent at previous owners")
@@ -1668,9 +1618,7 @@ sim::Task<StatusOr<GetResult>> Client::DegradedGet(const std::string& key,
   const int replicas = ReplicaCount(view.mode);
   const uint32_t primary = PrimaryShard(ctx.hash, n);
 
-  rpc::WireWriter w;
-  w.PutString(proto::kTagKey, key);
-  const Bytes request = std::move(w).Take();
+  const Bytes request = proto::GetRequest(key, ctx.tenant);
 
   // Probe every replica once. The backends answer DegradedGet even while
   // draining (disaster path); replicas that are dead, fenced, or partitioned
@@ -1683,7 +1631,7 @@ sim::Task<StatusOr<GetResult>> Client::DegradedGet(const std::string& key,
     // The main attempt usually arrives here with the op deadline already
     // spent; grant each probe a small grace budget.
     const sim::Duration remaining = std::max<sim::Duration>(
-        ctx.deadline_at - sim_.now(), config_.degraded_probe_grace);
+        ctx.deadline_at - sim_.now(), kDegradedProbeGrace);
     rpc::RpcChannel ch(rpc_network_, host_, view.shard_hosts[shard]);
     auto resp =
         co_await ch.Call(proto::kMethodDegradedGet, request, remaining,
@@ -1694,12 +1642,9 @@ sim::Task<StatusOr<GetResult>> Client::DegradedGet(const std::string& key,
     const auto code = rr.GetU32(proto::kTagStatusCode);
     if (!code) continue;
     if (static_cast<StatusCode>(*code) == StatusCode::kOk) {
-      auto value = rr.GetBytes(proto::kTagValue);
-      auto version = proto::GetVersion(rr);
-      if (!value || !version) continue;
-      if (!best || *version > best->version) {
-        best = GetResult{Bytes(value->begin(), value->end()), *version};
-      }
+      auto hit = proto::GetHit(rr);
+      if (!hit) continue;
+      if (!best || hit->version > best->version) best = GetResult::Copy(*hit);
     } else if (auto tomb = proto::GetVersion(rr, proto::kTagTombstoneTt)) {
       // The replica is live but the key is absent *with a remembered erase
       // version*: a quorum-committed ERASE must win over any stale copy a

@@ -43,27 +43,9 @@ struct ClientConfig {
   LookupStrategy strategy = LookupStrategy::kAuto;
   sim::Duration op_deadline = sim::Milliseconds(10);
   int max_retries = 8;
-  // A replica that failed a connection is skipped while it backs off
-  // ("clients only send two out of three operations per GET, as they await
-  // reconnect", §7.2.3). `replica_backoff` is the *base*: the actual skip
-  // interval uses decorrelated jitter in [base, replica_backoff_max], growing
-  // with consecutive failures, so a fleet of clients does not re-probe a
-  // recovering backend in lockstep (retry incast).
-  sim::Duration replica_backoff = sim::Milliseconds(200);
-  sim::Duration replica_backoff_max = sim::Seconds(2);
-
-  // Between GET retry attempts under transient faults the client sleeps a
-  // full-jittered exponential backoff, bounded by the op deadline.
-  sim::Duration retry_backoff_base = sim::Microseconds(50);
-  sim::Duration retry_backoff_max = sim::Milliseconds(2);
 
   // Access recording (§4.2).
   sim::Duration touch_flush_interval = sim::Milliseconds(50);
-  size_t touch_batch_max = 512;
-
-  // Client-library CPU per RMA op / per validation (Figs 6b, 7).
-  sim::Duration issue_cpu = sim::Nanoseconds(400);
-  sim::Duration validate_cpu = sim::Nanoseconds(250);
 
   // Transparent client-side value compression (§9 lists compression among
   // the features delivered post-launch). All clients of a corpus must
@@ -80,11 +62,10 @@ struct ClientConfig {
   // EWMA, and both are off by default (determinism-pinned tests run with
   // the untouched selection/fetch schedule).
   //
-  // Outlier ejection drops replicas whose EWMA exceeds `slow_eject_factor`
-  // x the fastest live replica from the fan-out — never below quorum size.
+  // Outlier ejection drops replicas whose EWMA exceeds kSlowEjectFactor
+  // (client.cc) x the fastest live replica from the fan-out — never below
+  // quorum size.
   bool eject_slow_replicas = false;
-  double ewma_alpha = 0.2;
-  double slow_eject_factor = 4.0;
   // Hedged data fetch: if the speculative data fetch has not resolved
   // `hedge_delay` after the quorum formed, issue a second fetch against
   // another quorum member; first result wins, the loser is dropped (the
@@ -107,8 +88,6 @@ struct ClientConfig {
   // refused rather than roll back a version this client already quorumed.
   // Default off — fail-fast is the correct default for a cache.
   bool degraded_reads = false;
-  // Per-replica probe budget when the op deadline is already spent.
-  sim::Duration degraded_probe_grace = sim::Milliseconds(1);
 
   // Batched MultiGet (incast-aware pipeline) ---------------------------
   // Coalesce a batch's index and data reads into one vectored RMA op per
@@ -135,13 +114,8 @@ struct ClientConfig {
   // for read-mostly hot-key workloads where hits arrive faster than the
   // lease expires. 0 = no expiry (trust validation alone).
   sim::Duration loccache_ttl = sim::Microseconds(200);
-  // Adaptive breaker: when the recent speculation failure ratio crosses
-  // the threshold (heavy churn → cached pointers mostly stale, each miss
-  // costs one wasted RMA read), speculation pauses for the cooldown.
-  double spec_disable_failure_ratio = 0.5;
-  int spec_min_samples = 16;
-  int spec_window_samples = 64;
-  sim::Duration spec_cooldown = sim::Milliseconds(50);
+  // (Speculation is also paused by an adaptive breaker when the recent
+  // failure ratio crosses SpeculationGovernor::Options' defaults.)
 
   // Multi-tenant QoS ---------------------------------------------------
   // Tenant this client's ops belong to. 0 (the untenanted default) stamps
@@ -162,6 +136,12 @@ struct GetResult {
   // best available, not quorum-certain. Callers that need certainty must
   // treat it as a miss.
   bool degraded = false;
+
+  // Copies a decoded GET reply (RPC fallback, shim pipe) into an owning
+  // result: the reply buffer dies with the call.
+  static GetResult Copy(const proto::Hit& hit) {
+    return GetResult{Bytes(hit.value.begin(), hit.value.end()), hit.version};
+  }
 };
 
 // Per-op overrides threaded through Get/MultiGet/Set/Erase/Cas: the options
@@ -362,13 +342,12 @@ class Client {
   // off; immutable R=2 consults one, spread by client id but preferring
   // replicas without a recent connection failure (failover, §6.4).
   std::vector<uint32_t> SelectReplicas(uint32_t primary);
-  // Connect-or-probe for one selected replica, synchronous unless a
-  // first-time handshake is due: a current connection is kReady; a replica
-  // that failed before is re-probed off the serving path and skipped
-  // ("clients only send two out of three operations per GET, as they await
-  // reconnect", §7.2.3); otherwise the caller awaits EnsureConnected.
-  enum class ConnStep { kReady, kSkip, kHandshake };
-  ConnStep PlanConnect(uint32_t shard);
+  // Connect-or-probe for one selected replica; true when it can be read
+  // now. A current connection answers without awaiting; a replica that
+  // failed before is re-probed off the serving path and skipped ("clients
+  // only send two out of three operations per GET, as they await
+  // reconnect", §7.2.3); otherwise this awaits the first-time handshake.
+  sim::Task<bool> ConnectReplica(uint32_t shard);
   // Bookkeeping for a failed RMA read against `shard`: a revoked window
   // drops the connection (re-handshake next attempt); a lost op counts a
   // timeout (the replica itself may be fine — no backoff).
@@ -379,6 +358,29 @@ class Client {
   // key (misses are never cached).
   QuorumTally::Verdict CountVote(QuorumTally& tally, IndexVote vote,
                                  const Hash128& hash);
+
+  // RMA-plane tenant policing. One-sided reads bypass the backend CPU, so
+  // the client enforces its own tenant's quota before any fabric traffic:
+  // `reads` read tokens (Get: 1; a batch: one per unique key). The bytes
+  // bucket is post-paid (the value size is unknown until the read lands),
+  // so a tenant in byte-debt sheds until it refills. A shed is never
+  // silent: false + cm.tenant.shed, and the caller returns
+  // RESOURCE_EXHAUSTED. An override tenant is attributed backend-side.
+  bool AcquireTenantReads(const OpContext& ctx, int64_t reads);
+  // The post-paid byte debit (Get: per hit; a batch: once per batch).
+  void DebitTenantBytes(const OpContext& ctx, int64_t bytes);
+  // Records one GET's outcome — the single emission point for per-GET
+  // accounting, shared by Get and the batch: transparent decompression,
+  // hit/miss/error counters, the touch record behind a hit (primary shard
+  // of `hash` among `num_shards`), and the latency sample since `start`.
+  void FinishGet(StatusOr<GetResult>& result, const Hash128& hash,
+                 uint32_t num_shards, sim::Time start);
+
+  // Client-library CPU (Figs 6b, 7): one RMA op issued, one response
+  // validated. ChargeValidate also records a "validate" child span of
+  // `span` (none for kNoSpan).
+  sim::Task<void> ChargeIssue();
+  sim::Task<void> ChargeValidate(trace::SpanId span);
 
   // One GET attempt; kAborted-class results are retried by Get().
   sim::Task<StatusOr<GetResult>> GetOnce(const std::string& key,
@@ -405,6 +407,13 @@ class Client {
   sim::Task<StatusOr<GetResult>> FetchData(const std::string& key,
                                            uint32_t shard, IndexEntry entry,
                                            OpContext ctx);
+  // The single-read shape FetchData and SpeculativeGet share: issue CPU,
+  // one RMA read of `p` from `target` under `span`, then — if the read
+  // landed — validate CPU. The caller validates the bytes its own way
+  // (quorumed version vs cached floor) and ends `span`.
+  sim::Task<StatusOr<BufferView>> ReadDataEntry(net::HostId target,
+                                                const Pointer& p,
+                                                trace::SpanId span);
   // Validates a DataEntry blob against the four hit conditions. On a hit
   // the returned value is a slice of `blob` (shared storage, no copy).
   StatusOr<GetResult> ValidateData(const BufferView& blob,

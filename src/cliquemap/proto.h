@@ -8,6 +8,8 @@
 #define CM_CLIQUEMAP_PROTO_H_
 
 #include <optional>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "cliquemap/types.h"
@@ -133,6 +135,45 @@ inline std::optional<VersionNumber> GetVersion(
   auto seq = r.GetU32(static_cast<uint16_t>(tt_tag + 2));
   if (!tt || !client || !seq) return std::nullopt;
   return VersionNumber{*tt, *client, *seq};
+}
+
+// ---------------------------------------------------------------------------
+// GET reply body: kTagValue + the value's version triple. Every RPC read
+// (Get, MultiGet's nested kTagResult frames, DegradedGet, GetByHash) and the
+// language shim's pipe replies carry it. Status tags stay with the callers.
+// ---------------------------------------------------------------------------
+
+struct Hit {
+  ByteSpan value;  // aliases the decoded buffer
+  VersionNumber version;
+};
+
+inline void PutHit(rpc::WireWriter& w, ByteSpan value,
+                   const VersionNumber& version) {
+  w.PutBytes(kTagValue, value);
+  PutVersion(w, version);
+}
+
+// nullopt unless both the value and all three version components parse.
+inline std::optional<Hit> GetHit(const rpc::WireReader& r) {
+  auto value = r.GetBytes(kTagValue);
+  auto version = GetVersion(r);
+  if (!value || !version) return std::nullopt;
+  return Hit{*value, *version};
+}
+
+// A GET request (MultiGet repeats kTagKey), plus kTagTenant when the
+// reader belongs to a non-default tenant (untenanted requests stay
+// byte-identical).
+inline Bytes GetRequest(std::span<const std::string_view> keys,
+                        uint32_t tenant) {
+  rpc::WireWriter w;
+  for (std::string_view key : keys) w.PutString(kTagKey, key);
+  if (tenant != 0) w.PutU32(kTagTenant, tenant);
+  return std::move(w).Take();
+}
+inline Bytes GetRequest(std::string_view key, uint32_t tenant) {
+  return GetRequest(std::span<const std::string_view>(&key, 1), tenant);
 }
 
 // ---------------------------------------------------------------------------

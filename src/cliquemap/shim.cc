@@ -87,10 +87,7 @@ sim::Task<Bytes> LanguageShim::HandleFrame(Bytes frame) {
     }
     auto result = co_await client_->Get(*key);
     out.PutU32(kTagStatus, static_cast<uint32_t>(result.status().code()));
-    if (result.ok()) {
-      out.PutBytes(proto::kTagValue, result->value);
-      proto::PutVersion(out, result->version);
-    }
+    if (result.ok()) proto::PutHit(out, result->value, result->version);
   } else if (op == kOpSet) {
     auto key = r.GetString(proto::kTagKey);
     auto value = r.GetBytes(proto::kTagValue);
@@ -129,10 +126,7 @@ sim::Task<Bytes> LanguageShim::HandleFrame(Bytes frame) {
     for (const auto& result : batch.results) {
       rpc::WireWriter sub;
       sub.PutU32(kTagStatus, static_cast<uint32_t>(result.status().code()));
-      if (result.ok()) {
-        sub.PutBytes(proto::kTagValue, result->value);
-        proto::PutVersion(sub, result->version);
-      }
+      if (result.ok()) proto::PutHit(sub, result->value, result->version);
       out.PutBytes(kTagResult, std::move(sub).Take());
     }
   } else if (op == kOpCas) {
@@ -202,10 +196,9 @@ sim::Task<StatusOr<GetResult>> LanguageShim::Get(std::string key) {
       static_cast<StatusCode>(r.GetU32(kTagStatus).value_or(
           static_cast<uint32_t>(StatusCode::kInternal)));
   if (code != StatusCode::kOk) co_return Status(code, "shim get failed");
-  auto value = r.GetBytes(proto::kTagValue);
-  auto version = proto::GetVersion(r);
-  if (!value || !version) co_return InternalError("malformed shim reply");
-  co_return GetResult{Bytes(value->begin(), value->end()), *version};
+  auto hit = proto::GetHit(r);
+  if (!hit) co_return InternalError("malformed shim reply");
+  co_return GetResult::Copy(*hit);
 }
 
 sim::Task<Status> LanguageShim::Set(std::string key, Bytes value) {
@@ -282,14 +275,12 @@ sim::Task<std::vector<StatusOr<GetResult>>> LanguageShim::MultiGet(
       results.emplace_back(Status(sub_code, "shim multiget entry failed"));
       continue;
     }
-    auto value = rr.GetBytes(proto::kTagValue);
-    auto version = proto::GetVersion(rr);
-    if (!value || !version) {
+    auto hit = proto::GetHit(rr);
+    if (!hit) {
       results.emplace_back(InternalError("malformed shim multiget entry"));
       continue;
     }
-    results.emplace_back(
-        GetResult{Bytes(value->begin(), value->end()), *version});
+    results.emplace_back(GetResult::Copy(*hit));
   }
   co_return results;
 }

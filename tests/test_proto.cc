@@ -1,7 +1,12 @@
-// Protocol codec tests: packed record formats and the cell-view codec,
-// including forward/backward-compat properties.
+// Protocol codec tests: packed record formats, the GET-reply codec and the
+// cell-view codec, including forward/backward-compat properties.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <string>
+
+#include "cliquemap/cell.h"
 #include "cliquemap/config_service.h"
 #include "cliquemap/proto.h"
 
@@ -90,6 +95,216 @@ TEST(VersionCodec, MissingFieldsAreNullopt) {
   w.PutU64(kTagVersionTt, 1);  // client/seq absent
   rpc::WireReader r(w.bytes());
   EXPECT_FALSE(GetVersion(r).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// GET-reply codec (PutHit / GetHit) and the GET request builder
+// ---------------------------------------------------------------------------
+
+std::string Hex(ByteSpan b) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::byte x : b) {
+    out.push_back(kDigits[static_cast<uint8_t>(x) >> 4]);
+    out.push_back(kDigits[static_cast<uint8_t>(x) & 0xf]);
+  }
+  return out;
+}
+
+// Golden reply frames for key "golden-key" = "golden-value" stored at
+// version {0x0102030405060708, 0x11, 0x22} (erased at {…0709, 0x11, 0x23}),
+// as the backend's Get, DegradedGet, MultiGet and GetByHash handlers put
+// them on the wire. Deployed clients parse these bytes, so both the codec
+// and the live handlers must produce them exactly.
+const std::string kGetFrame =
+    "0200020c000000676f6c64656e2d76616c7565"  // kTagValue "golden-value"
+    "0300010807060504030201"                  // kTagVersionTt
+    "04000011000000"                          // kTagVersionClient
+    "05000022000000";                         // kTagVersionSeq
+const std::string kDegradedHitFrame = "47000000000000" + kGetFrame;
+const std::string kMultiGetFrame = "46000233000000" "47000000000000" +
+                                   kGetFrame +
+                                   "46000207000000" "47000001000000";
+const std::string kGetByHashFrame =
+    "0100020a000000676f6c64656e2d6b6579" + kGetFrame;
+const std::string kDegradedTombstoneFrame =
+    "47000001000000" "4800010907060504030201" "490000110000004a000023000000";
+
+constexpr VersionNumber kGoldenVersion{0x0102030405060708ull, 0x11, 0x22};
+constexpr VersionNumber kGoldenTombstone{0x0102030405060709ull, 0x11, 0x23};
+
+TEST(GetReplyCodec, EncoderMatchesGoldenFrames) {
+  const Bytes value = ToBytes("golden-value");
+  rpc::WireWriter get;
+  PutHit(get, value, kGoldenVersion);
+  EXPECT_EQ(Hex(get.bytes()), kGetFrame);
+
+  rpc::WireWriter degraded;
+  degraded.PutU32(kTagStatusCode, static_cast<uint32_t>(StatusCode::kOk));
+  PutHit(degraded, value, kGoldenVersion);
+  EXPECT_EQ(Hex(degraded.bytes()), kDegradedHitFrame);
+
+  rpc::WireWriter hit_sub, miss_sub, multi;
+  hit_sub.PutU32(kTagStatusCode, static_cast<uint32_t>(StatusCode::kOk));
+  PutHit(hit_sub, value, kGoldenVersion);
+  miss_sub.PutU32(kTagStatusCode, static_cast<uint32_t>(StatusCode::kNotFound));
+  multi.PutBytes(kTagResult, hit_sub.bytes());
+  multi.PutBytes(kTagResult, miss_sub.bytes());
+  EXPECT_EQ(Hex(multi.bytes()), kMultiGetFrame);
+
+  rpc::WireWriter by_hash;
+  by_hash.PutString(kTagKey, "golden-key");
+  PutHit(by_hash, value, kGoldenVersion);
+  EXPECT_EQ(Hex(by_hash.bytes()), kGetByHashFrame);
+
+  rpc::WireWriter tomb;
+  tomb.PutU32(kTagStatusCode, static_cast<uint32_t>(StatusCode::kNotFound));
+  PutVersion(tomb, kGoldenTombstone, kTagTombstoneTt);
+  EXPECT_EQ(Hex(tomb.bytes()), kDegradedTombstoneFrame);
+}
+
+template <typename T>
+T Await(sim::Simulator& sim, sim::Task<T> task) {
+  auto out = std::make_shared<std::optional<T>>();
+  sim.Spawn([](sim::Task<T> t,
+               std::shared_ptr<std::optional<T>> out) -> sim::Task<void> {
+    *out = co_await std::move(t);
+  }(std::move(task), out));
+  sim.Run();
+  EXPECT_TRUE(out->has_value()) << "op did not complete";
+  return **out;
+}
+
+// The live Get, DegradedGet (hit and tombstone), MultiGet and GetByHash
+// handlers still answer with the golden frames.
+TEST(GetReplyCodec, BackendRepliesMatchGoldenFrames) {
+  sim::Simulator sim;
+  CellOptions o;
+  o.num_shards = 1;
+  o.mode = ReplicationMode::kR1;
+  o.backend.initial_buckets = 64;
+  Cell cell(sim, std::move(o));
+  cell.Start();
+  const net::HostId from = cell.fabric().AddHost(cell.options().client_host);
+  rpc::RpcChannel ch(cell.rpc_network(), from, cell.backend(0).host());
+  auto call = [&](const char* method, Bytes req) {
+    auto resp = Await(sim, ch.Call(method, std::move(req), sim::Seconds(1)));
+    EXPECT_TRUE(resp.ok()) << method << ": " << resp.status().ToString();
+    return resp.ok() ? Hex(*resp) : std::string();
+  };
+  const std::string key = "golden-key";
+  rpc::WireWriter set;
+  set.PutString(kTagKey, key);
+  set.PutString(kTagValue, "golden-value");
+  PutVersion(set, kGoldenVersion);
+  call(kMethodSet, std::move(set).Take());
+
+  EXPECT_EQ(call(kMethodGet, GetRequest(key, 0)), kGetFrame);
+  EXPECT_EQ(call(kMethodDegradedGet, GetRequest(key, 0)), kDegradedHitFrame);
+  const std::string_view keys[] = {key, "missing-key"};
+  EXPECT_EQ(call(kMethodMultiGet, GetRequest(keys, 0)), kMultiGetFrame);
+  const Hash128 h = HashKey(key);
+  rpc::WireWriter by_hash;
+  by_hash.PutU64(kTagHashHi, h.hi);
+  by_hash.PutU64(kTagHashLo, h.lo);
+  EXPECT_EQ(call(kMethodGetByHash, std::move(by_hash).Take()), kGetByHashFrame);
+
+  rpc::WireWriter erase;
+  erase.PutString(kTagKey, key);
+  PutVersion(erase, kGoldenTombstone);
+  call(kMethodErase, std::move(erase).Take());
+  EXPECT_EQ(call(kMethodDegradedGet, GetRequest(key, 0)),
+            kDegradedTombstoneFrame);
+}
+
+TEST(GetReplyCodec, RoundTrips) {
+  const Bytes value = ToBytes("some value bytes");
+  const VersionNumber v{0xDEADBEEF12345678ull, 42, 7};
+  {  // plain hit
+    rpc::WireWriter w;
+    PutHit(w, value, v);
+    auto hit = GetHit(rpc::WireReader(w.bytes()));
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(Bytes(hit->value.begin(), hit->value.end()), value);
+    EXPECT_EQ(hit->version, v);
+  }
+  {  // empty value is still a hit
+    rpc::WireWriter w;
+    PutHit(w, ByteSpan(), v);
+    auto hit = GetHit(rpc::WireReader(w.bytes()));
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_TRUE(hit->value.empty());
+  }
+  {  // absent with a tombstone: no hit, the tombstone version survives
+    rpc::WireWriter w;
+    w.PutU32(kTagStatusCode, static_cast<uint32_t>(StatusCode::kNotFound));
+    PutVersion(w, v, kTagTombstoneTt);
+    rpc::WireReader r(w.bytes());
+    EXPECT_FALSE(GetHit(r).has_value());
+    auto tomb = GetVersion(r, kTagTombstoneTt);
+    ASSERT_TRUE(tomb.has_value());
+    EXPECT_EQ(*tomb, v);
+  }
+  {  // GetByHash: the key rides ahead of the hit
+    rpc::WireWriter w;
+    w.PutString(kTagKey, "the-key");
+    PutHit(w, value, v);
+    rpc::WireReader r(w.bytes());
+    EXPECT_EQ(r.GetString(kTagKey), "the-key");
+    auto hit = GetHit(r);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(Bytes(hit->value.begin(), hit->value.end()), value);
+    EXPECT_EQ(hit->version, v);
+  }
+}
+
+TEST(GetReplyCodec, DecoderRejectsTruncatedAndIncompleteFrames) {
+  const Bytes value = ToBytes("value");
+  const VersionNumber v{9, 8, 7};
+  rpc::WireWriter full;
+  PutHit(full, value, v);
+  const Bytes& frame = full.bytes();
+  // Every strict prefix loses at least the last version component.
+  for (size_t n = 0; n < frame.size(); ++n) {
+    EXPECT_FALSE(GetHit(rpc::WireReader(ByteSpan(frame.data(), n))))
+        << "prefix of " << n << " bytes";
+  }
+  rpc::WireWriter no_value;
+  PutVersion(no_value, v);
+  EXPECT_FALSE(GetHit(rpc::WireReader(no_value.bytes())));
+  // Each version component missing in turn.
+  for (int missing = 0; missing < 3; ++missing) {
+    rpc::WireWriter w;
+    w.PutBytes(kTagValue, value);
+    if (missing != 0) w.PutU64(kTagVersionTt, v.tt_micros);
+    if (missing != 1) w.PutU32(kTagVersionClient, v.client_id);
+    if (missing != 2) w.PutU32(kTagVersionSeq, v.seq);
+    EXPECT_FALSE(GetHit(rpc::WireReader(w.bytes())))
+        << "version component " << missing << " missing";
+  }
+  // A value under the wrong wire type is no value.
+  rpc::WireWriter wrong_type;
+  wrong_type.PutU32(kTagValue, 5);
+  PutVersion(wrong_type, v);
+  EXPECT_FALSE(GetHit(rpc::WireReader(wrong_type.bytes())));
+}
+
+TEST(GetRequestCodec, UntenantedIsKeyOnlyAndTenantAppends) {
+  rpc::WireWriter key_only;
+  key_only.PutString(kTagKey, "k1");
+  EXPECT_EQ(GetRequest("k1", 0), key_only.bytes());
+
+  rpc::WireWriter tenanted;
+  tenanted.PutString(kTagKey, "k1");
+  tenanted.PutU32(kTagTenant, 7);
+  EXPECT_EQ(GetRequest("k1", 7), tenanted.bytes());
+
+  const std::string_view keys[] = {"k1", "k2"};
+  rpc::WireWriter multi;
+  multi.PutString(kTagKey, "k1");
+  multi.PutString(kTagKey, "k2");
+  multi.PutU32(kTagTenant, 7);
+  EXPECT_EQ(GetRequest(keys, 7), multi.bytes());
 }
 
 TEST(CellViewCodec, RoundTrip) {

@@ -3,7 +3,12 @@
 // and determinism with tenancy enabled.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <string_view>
+
 #include "cliquemap/cell.h"
+#include "cliquemap/proto.h"
 #include "cliquemap/tenancy.h"
 
 namespace cm::cliquemap {
@@ -366,6 +371,159 @@ TEST(TenancyCell, RpcQuotaShedsSetsLoudly) {
   auto snap = cell.metrics().TakeSnapshot();
   EXPECT_GT(snap.SumPrefix("cm.tenant.shed{"), 0);
   EXPECT_GT(snap.SumPrefix("cm.tenant.admitted{"), 0);
+}
+
+// Every admitted backend handler (Set, Erase, Cas, RPC Get, batched RPC
+// MultiGet) sheds a tenant past its RPC quota with RESOURCE_EXHAUSTED,
+// counts the shed, and releases every admitted slot once traffic drains.
+TEST(TenancyCell, EveryAdmittedHandlerShedsOverQuotaAndReleases) {
+  struct Case {
+    const char* method;
+    Bytes (*request)(int i);
+  };
+  static const Case kCases[] = {
+      {proto::kMethodSet,
+       [](int i) {
+         rpc::WireWriter w;
+         w.PutString(proto::kTagKey, "k");
+         w.PutString(proto::kTagValue, "value");
+         proto::PutVersion(w, VersionNumber{uint64_t(i) + 1, 1, 1});
+         w.PutU32(proto::kTagTenant, 1);
+         return std::move(w).Take();
+       }},
+      {proto::kMethodErase,
+       [](int i) {
+         rpc::WireWriter w;
+         w.PutString(proto::kTagKey, "k");
+         proto::PutVersion(w, VersionNumber{uint64_t(i) + 1, 1, 1});
+         w.PutU32(proto::kTagTenant, 1);
+         return std::move(w).Take();
+       }},
+      {proto::kMethodCas,
+       [](int i) {
+         rpc::WireWriter w;
+         w.PutString(proto::kTagKey, "k");
+         w.PutString(proto::kTagValue, "value");
+         proto::PutVersion(w, VersionNumber{uint64_t(i) + 1, 1, 1});
+         proto::PutVersion(w, VersionNumber{}, proto::kTagExpectedTt);
+         w.PutU32(proto::kTagTenant, 1);
+         return std::move(w).Take();
+       }},
+      {proto::kMethodGet, [](int) { return proto::GetRequest("k", 1); }},
+      {proto::kMethodMultiGet,
+       [](int) {
+         const std::string_view keys[] = {"k", "other"};
+         return proto::GetRequest(keys, 1);
+       }},
+  };
+  constexpr int kCalls = 16;
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.method);
+    sim::Simulator sim;
+    CellOptions o = TenantCell(1, ReplicationMode::kR1);
+    TenantSpec capped = MakeSpec(1, "capped");
+    capped.rpc_ops_per_sec = 8;  // burst 4
+    o.tenants.Upsert(capped);
+    Cell cell(sim, std::move(o));
+    cell.Start();
+    Backend& backend = cell.backend(0);
+    AdmissionQueue* q = backend.admission();
+    ASSERT_NE(q, nullptr);
+
+    // All calls in flight at once: the burst is admitted, the rest shed.
+    const net::HostId from = cell.fabric().AddHost(cell.options().client_host);
+    auto shed = std::make_shared<int>(0);
+    auto served = std::make_shared<int>(0);
+    for (int i = 0; i < kCalls; ++i) {
+      sim.Spawn([](rpc::RpcNetwork* net, net::HostId from, net::HostId to,
+                   const char* method, Bytes req, std::shared_ptr<int> shed,
+                   std::shared_ptr<int> served) -> sim::Task<void> {
+        rpc::RpcChannel ch(*net, from, to);
+        auto resp = co_await ch.Call(method, std::move(req), sim::Seconds(1));
+        if (resp.status().code() == StatusCode::kResourceExhausted) {
+          EXPECT_EQ(resp.status().message(), "tenant rpc quota exceeded");
+          ++*shed;
+        } else {
+          ++*served;
+        }
+      }(&cell.rpc_network(), from, backend.host(), c.method, c.request(i),
+        shed, served));
+    }
+    sim.Run();
+
+    EXPECT_EQ(*shed + *served, kCalls);
+    EXPECT_EQ(*served, 4);
+    EXPECT_EQ(q->admitted(1), *served);
+    EXPECT_EQ(q->shed(1), *shed);
+    EXPECT_EQ(backend.stats().tenant_sheds, *shed);
+    EXPECT_EQ(q->in_flight(), 0);
+    EXPECT_EQ(q->queue_depth(), 0u);
+  }
+}
+
+// Sum of one per-tenant admission counter on one backend host.
+int64_t TenantCounter(const metrics::Snapshot& snap, const std::string& name,
+                      net::HostId host, const std::string& tenant) {
+  int64_t sum = 0;
+  for (const auto& [key, m] : snap.metrics) {
+    if (key.starts_with(name + "{") &&
+        key.find("host=" + std::to_string(host)) != std::string::npos &&
+        key.find("tenant=" + tenant) != std::string::npos) {
+      sum += m.value;
+    }
+  }
+  return sum;
+}
+
+// Reads served by the previous owners inside a resharding window are
+// attributed to the reader's tenant, like every other RPC read — not
+// admitted and byte-accounted as the (never quota-shed) default tenant.
+TEST(TenancyCell, PreviousOwnerReadsCarryTheTenant) {
+  sim::Simulator sim;
+  CellOptions o = TenantCell(2, ReplicationMode::kR1);
+  o.tenants.Upsert(MakeSpec(1, "reader"));
+  Cell cell(sim, std::move(o));
+  cell.Start();
+  ClientConfig cc;
+  cc.tenant = 1;
+  Client* client = cell.AddClient(cc);
+  ASSERT_TRUE(RunOp(sim, client->Connect()).ok());
+  const std::string key = "moving-key";
+  ASSERT_TRUE(RunOp(sim, client->Set(key, ToBytes("old-owner-value"))).ok());
+
+  // The key's slot moves to an empty backend; the window keeps the old
+  // owner as the previous topology.
+  const uint32_t p = PrimaryShard(HashKey(key), cell.num_shards());
+  Backend& old_owner = cell.backend(p);
+  constexpr uint32_t kFreshConfigId = 77;
+  Backend* fresh = cell.AddBackendForShard(p, kFreshConfigId);
+  CellView next = cell.config_service().view();
+  next.shard_hosts[p] = fresh->host();
+  next.shard_config_ids[p] = kFreshConfigId;
+  cell.config_service().BeginTransition(next);
+  ASSERT_TRUE(RunOp(sim, client->Connect()).ok());
+  ASSERT_TRUE(client->view().transition);
+
+  AdmissionQueue* q = old_owner.admission();
+  ASSERT_NE(q, nullptr);
+  const int64_t admitted_tenant = q->admitted(1);
+  const int64_t admitted_default = q->admitted(kDefaultTenant);
+  const auto before = cell.metrics().TakeSnapshot();
+
+  auto got = RunOp(sim, client->Get(key));
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(ToString(got->value), "old-owner-value");
+  EXPECT_EQ(client->stats().prev_window_gets, 1);
+
+  EXPECT_EQ(q->admitted(1), admitted_tenant + 1);
+  EXPECT_EQ(q->admitted(kDefaultTenant), admitted_default);
+  const auto after = cell.metrics().TakeSnapshot();
+  const std::string bytes = "cm.tenant.read_data_bytes";
+  EXPECT_EQ(TenantCounter(after, bytes, old_owner.host(), "reader") -
+                TenantCounter(before, bytes, old_owner.host(), "reader"),
+            int64_t(std::string("old-owner-value").size()));
+  EXPECT_EQ(TenantCounter(after, bytes, old_owner.host(), "0"),
+            TenantCounter(before, bytes, old_owner.host(), "0"));
 }
 
 TEST(TenancyCell, RmaReadQuotaShedsClientSide) {
