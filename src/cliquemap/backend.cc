@@ -384,18 +384,6 @@ MutableByteSpan Backend::BucketSpan(uint64_t bucket) {
                                 BucketBytes(config_.ways));
 }
 
-std::optional<int> Backend::FindWay(uint64_t bucket,
-                                    const Hash128& hash) const {
-  ByteSpan span = index_->cspan().subspan(bucket * BucketBytes(config_.ways),
-                                          BucketBytes(config_.ways));
-  for (int w = 0; w < config_.ways; ++w) {
-    IndexEntry e = DecodeIndexEntry(
-        span.subspan(kBucketHeaderSize + size_t(w) * kIndexEntrySize));
-    if (e.keyhash == hash) return w;
-  }
-  return std::nullopt;
-}
-
 std::optional<int> Backend::FindFreeWay(uint64_t bucket) const {
   ByteSpan span = index_->cspan().subspan(bucket * BucketBytes(config_.ways),
                                           BucketBytes(config_.ways));
@@ -446,18 +434,115 @@ Bytes Backend::ReadData(const Pointer& ptr) const {
 }
 
 bool Backend::EvictKey(const Hash128& hash) {
-  auto it = locations_.find(hash);
-  if (it == locations_.end()) return false;
-  IndexEntry e = ReadEntry(it->second.bucket, it->second.way);
-  // Nullify the pointer first, then reclaim: in-flight 2xR GETs that read
-  // the old pointer may still complete (ordered-before the eviction, §4.2).
-  ClearEntry(it->second.bucket, it->second.way);
-  FreeData(e.pointer);
-  locations_.erase(it);
-  --live_entries_;
-  eviction_->OnRemove(hash);
-  if (ledger_) ledger_->Release(hash);
+  // Overflow residents hold no slab memory: evicting one frees nothing.
+  const auto r = FindIndexed(hash);
+  if (!r) return false;
+  RemoveResident(*r);
   return true;
+}
+
+// ---------------------------------------------------------------------------
+// Residency: index slot or overflow entry
+// ---------------------------------------------------------------------------
+
+std::optional<Backend::Resident> Backend::FindIndexed(
+    const Hash128& hash) const {
+  const auto it = locations_.find(hash);
+  if (it == locations_.end()) return std::nullopt;
+  const IndexEntry e = ReadEntry(it->second.bucket, it->second.way);
+  return Resident{hash, e.version, &it->second, e.pointer, {}};
+}
+
+std::optional<Backend::Resident> Backend::FindResident(
+    const Hash128& hash, std::string_view key) const {
+  if (auto r = FindIndexed(hash)) return r;
+  if (overflow_.empty()) return std::nullopt;
+  const auto ov =
+      key.empty() ? std::find_if(overflow_.begin(), overflow_.end(),
+                                 [&](const auto& entry) {
+                                   return config_.hash_fn(entry.first) == hash;
+                                 })
+                  : overflow_.find(std::string(key));
+  if (ov == overflow_.end()) return std::nullopt;
+  return Resident{hash, ov->second.second, nullptr, {}, ov};
+}
+
+StatusOr<DataEntryView> Backend::ReadRecord(const Resident& r,
+                                            Bytes& buf) const {
+  if (!r.slot) {
+    return DataEntryView{r.hash, r.version, r.ov->first,
+                         ByteSpan(r.ov->second.first)};
+  }
+  buf = ReadData(r.data);
+  return DecodeDataEntry(buf);
+}
+
+void Backend::RemoveResident(const Resident& r) {
+  if (r.slot) {
+    // Nullify the pointer first, then reclaim: in-flight 2xR GETs that read
+    // the old pointer may still complete (ordered-before the eviction, §4.2).
+    ClearEntry(r.slot->bucket, r.slot->way);
+    FreeData(r.data);
+    locations_.erase(r.hash);
+    --live_entries_;
+  } else {
+    const uint64_t bucket = BucketIndex(r.hash, num_buckets_);
+    overflow_.erase(r.ov);
+    if (--overflow_count_[bucket] <= 0) {
+      overflow_count_.erase(bucket);
+      SetOverflowFlag(bucket, false);
+    }
+  }
+  eviction_->OnRemove(r.hash);
+  if (ledger_) ledger_->Release(r.hash);
+}
+
+Status Backend::BumpResident(const Resident& r, const VersionNumber& version) {
+  if (r.slot) {
+    // Rewrite the DataEntry's version + checksum, then the IndexEntry; a
+    // concurrent GET sees either a consistent old or new state, or a
+    // retryable checksum failure.
+    Bytes data = ReadData(r.data);
+    if (Status s = RewriteDataEntryVersion(data, version); !s.ok()) return s;
+    (void)data_->WriteAt(r.data.offset, data);
+    WriteEntry(r.slot->bucket, r.slot->way,
+               IndexEntry{r.hash, version, r.data});
+  } else {
+    overflow_.at(r.ov->first).second = version;
+  }
+  ++stats_.bump_versions;
+  return OkStatus();
+}
+
+void Backend::InsertIndexed(uint64_t bucket, int way, const IndexEntry& entry) {
+  WriteEntry(bucket, way, entry);
+  locations_[entry.keyhash] = Location{bucket, way};
+  ++live_entries_;
+}
+
+void Backend::InsertOverflow(std::string_view key, const Hash128& hash,
+                             ByteSpan value, const VersionNumber& version) {
+  const uint64_t bucket = BucketIndex(hash, num_buckets_);
+  auto [it, inserted] = overflow_.try_emplace(std::string(key));
+  it->second = {Bytes(value.begin(), value.end()), version};
+  if (inserted) overflow_count_[bucket]++;
+  SetOverflowFlag(bucket, true);
+}
+
+template <typename OnResident, typename OnTombstone>
+void Backend::ForEachRecord(OnResident on_resident,
+                            OnTombstone on_tombstone) const {
+  for (const auto& [hash, loc] : locations_) {
+    const IndexEntry e = ReadEntry(loc.bucket, loc.way);
+    on_resident(Resident{hash, e.version, &loc, e.pointer, {}});
+  }
+  for (auto ov = overflow_.begin(); ov != overflow_.end(); ++ov) {
+    on_resident(Resident{config_.hash_fn(ov->first), ov->second.second,
+                         nullptr, {}, ov});
+  }
+  for (const auto& [hash, tomb] : tombstones_.entries()) {
+    on_tombstone(hash, tomb);
+  }
 }
 
 sim::Task<StatusOr<uint64_t>> Backend::AllocateWithEviction(uint32_t size) {
@@ -603,12 +688,10 @@ sim::Task<void> Backend::ResizeIndex() {
         Bytes encoded(entry_bytes);
         EncodeDataEntry(encoded, key, value, hash, version);
         (void)data_->WriteAt(*offset, encoded);
-        WriteEntry(bucket, *way,
-                   IndexEntry{hash, version,
-                              Pointer{data_regions_.back(), entry_bytes,
-                                      *offset}});
-        locations_[hash] = Location{bucket, *way};
-        ++live_entries_;
+        InsertIndexed(bucket, *way,
+                      IndexEntry{hash, version,
+                                 Pointer{data_regions_.back(), entry_bytes,
+                                         *offset}});
         promoted = true;
       }
     }
@@ -668,22 +751,9 @@ sim::Task<StatusOr<bool>> Backend::ApplySet(std::string_view key,
   const Hash128 hash = config_.hash_fn(key);
   {
     // Monotonicity (§5.2): apply only if the proposed version exceeds the
-    // stored version — consulting the index, the overflow side table, the
-    // tombstone cache, and its summary.
-    const uint64_t bucket = BucketIndex(hash, num_buckets_);
-    auto way = FindWay(bucket, hash);
-    if (way) {
-      if (version <= ReadEntry(bucket, *way).version) {
-        ++stats_.sets_rejected_stale;
-        co_return false;
-      }
-    } else if (auto it = overflow_.find(std::string(key));
-               it != overflow_.end()) {
-      if (version <= it->second.second) {
-        ++stats_.sets_rejected_stale;
-        co_return false;
-      }
-    } else if (version <= tombstones_.Floor(hash)) {
+    // stored version — the resident's, else the tombstone cache's floor.
+    const auto r = FindResident(hash, key);
+    if (version <= (r ? r->version : tombstones_.Floor(hash))) {
       ++stats_.sets_rejected_stale;
       co_return false;
     }
@@ -740,36 +810,35 @@ sim::Task<StatusOr<bool>> Backend::ApplySet(std::string_view key,
     co_return UnavailableError("backend stopped");
   }
 
-  // Re-resolve the bucket/way: the index may have reshaped or a competing
-  // SET may have won while we were writing.
-  const uint64_t bucket = BucketIndex(hash, num_buckets_);
-  auto way = FindWay(bucket, hash);
-  if (way) {
-    IndexEntry old = ReadEntry(bucket, *way);
-    if (old.version >= version) {
-      slab_->Free(*offset, entry_bytes);  // lost the race to a newer SET
-      ++stats_.sets_rejected_stale;
-      co_return false;
-    }
-    WriteEntry(bucket, *way, IndexEntry{hash, version, new_ptr});
-    FreeData(old.pointer);  // reclaim the old DataEntry as free space
-    locations_[hash] = Location{bucket, *way};
+  // Re-resolve the residency: the index may have reshaped, or a competing
+  // SET or ERASE may have won while we were writing.
+  const auto r = FindResident(hash, key);
+  if (version <= (r ? r->version : tombstones_.Floor(hash))) {
+    slab_->Free(*offset, entry_bytes);  // lost the race to a newer mutation
+    ++stats_.sets_rejected_stale;
+    co_return false;
+  }
+  if (r && r->slot) {
+    WriteEntry(r->slot->bucket, r->slot->way,
+               IndexEntry{hash, version, new_ptr});
+    FreeData(r->data);  // reclaim the old DataEntry as free space
     if (ledger_) ledger_->Charge(tenant, hash, entry_bytes);
   } else {
+    const uint64_t bucket = BucketIndex(hash, num_buckets_);
     auto free_way = FindFreeWay(bucket);
+    if (!free_way && config_.rpc_fallback_on_overflow) {
+      // Associativity conflict (§4.2), served via RPC instead of RMA.
+      slab_->Free(*offset, entry_bytes);
+      InsertOverflow(key, hash, value, version);
+      ++stats_.overflow_inserts;
+      tombstones_.Clear(hash);
+      eviction_->OnInsert(hash);
+      ++stats_.sets_applied;
+      co_return true;
+    }
+    if (r) RemoveResident(*r);  // promoted out of the overflow table
     if (!free_way) {
       // Associativity conflict (§4.2).
-      if (config_.rpc_fallback_on_overflow) {
-        overflow_[std::string(key)] = {Bytes(value.begin(), value.end()),
-                                       version};
-        overflow_count_[bucket]++;
-        SetOverflowFlag(bucket, true);
-        slab_->Free(*offset, entry_bytes);  // served via RPC, not RMA
-        ++stats_.overflow_inserts;
-        eviction_->OnInsert(hash);
-        ++stats_.sets_applied;
-        co_return true;
-      }
       std::vector<Hash128> residents;
       residents.reserve(static_cast<size_t>(config_.ways));
       for (int w = 0; w < config_.ways; ++w) {
@@ -784,9 +853,7 @@ sim::Task<StatusOr<bool>> Backend::ApplySet(std::string_view key,
       ++stats_.evictions_assoc;
       free_way = FindFreeWay(bucket);
     }
-    WriteEntry(bucket, *free_way, IndexEntry{hash, version, new_ptr});
-    locations_[hash] = Location{bucket, *free_way};
-    ++live_entries_;
+    InsertIndexed(bucket, *free_way, IndexEntry{hash, version, new_ptr});
     if (ledger_) ledger_->Charge(tenant, hash, entry_bytes);
   }
 
@@ -803,35 +870,11 @@ sim::Task<StatusOr<bool>> Backend::ApplyErase(std::string_view key,
   if (!serving_) co_return UnavailableError("backend stopped");
 
   const Hash128 hash = config_.hash_fn(key);
-  const uint64_t bucket = BucketIndex(hash, num_buckets_);
-  auto way = FindWay(bucket, hash);
-  if (way) {
-    IndexEntry e = ReadEntry(bucket, *way);
-    if (version <= e.version) co_return false;
-    ClearEntry(bucket, *way);
-    FreeData(e.pointer);
-    locations_.erase(hash);
-    --live_entries_;
-    eviction_->OnRemove(hash);
-    if (ledger_) ledger_->Release(hash);
-    tombstones_.Record(hash, version, key);
-    ++stats_.erases_applied;
-    co_return true;
-  }
-  if (auto it = overflow_.find(std::string(key)); it != overflow_.end()) {
-    if (version <= it->second.second) co_return false;
-    overflow_.erase(it);
-    if (--overflow_count_[bucket] <= 0) {
-      overflow_count_.erase(bucket);
-      SetOverflowFlag(bucket, false);
-    }
-    tombstones_.Record(hash, version, key);
-    ++stats_.erases_applied;
-    co_return true;
-  }
-  // Erase of an absent key: still record the tombstone so late SETs cannot
+  const auto r = FindResident(hash, key);
+  if (version <= (r ? r->version : tombstones_.Floor(hash))) co_return false;
+  if (r) RemoveResident(*r);
+  // Erasing an absent key still records the tombstone so late SETs cannot
   // restore an affirmatively-erased value (§5.2).
-  if (version <= tombstones_.Floor(hash)) co_return false;
   tombstones_.Record(hash, version, key);
   ++stats_.erases_applied;
   co_return true;
@@ -933,18 +976,15 @@ sim::Task<StatusOr<Bytes>> Backend::HandleCas(ByteSpan req) {
     co_return InvalidArgumentError("Cas: missing fields");
   }
   if (Status s = CheckMutationAdmissible(r); !s.ok()) co_return s;
-  // CAS installs only when the stored version matches `expected` (§5.2).
-  const Hash128 hash = config_.hash_fn(ToString(*key));
-  const uint64_t bucket = BucketIndex(hash, num_buckets_);
-  auto way = FindWay(bucket, hash);
-  VersionNumber stored;  // zero when absent
-  if (way) stored = ReadEntry(bucket, *way).version;
-  if (stored != *expected) {
+  // CAS installs only when the stored version (zero when absent) matches
+  // `expected` (§5.2).
+  const std::string k = ToString(*key);
+  const auto res = FindResident(config_.hash_fn(k), k);
+  if ((res ? res->version : VersionNumber{}) != *expected) {
     ++stats_.cas_failed;
     co_return AppliedResponse(false);
   }
-  auto applied =
-      co_await ApplySet(ToString(*key), *value, *version, true, *tenant);
+  auto applied = co_await ApplySet(k, *value, *version, true, *tenant);
   if (!applied.ok()) co_return applied.status();
   if (*applied) {
     ++stats_.cas_applied;
@@ -1002,29 +1042,21 @@ sim::Task<StatusOr<Bytes>> Backend::HandleDegradedGet(ByteSpan req) {
 
 Backend::LocalLookup Backend::LookupLocal(const std::string& key) {
   LocalLookup out;
-  const Hash128 hash = config_.hash_fn(key);
-  const uint64_t bucket = BucketIndex(hash, num_buckets_);
-  auto way = FindWay(bucket, hash);
-  if (way) {
-    IndexEntry e = ReadEntry(bucket, *way);
-    Bytes data = ReadData(e.pointer);
-    auto view = DecodeDataEntry(data);
-    if (view.ok() && view->key == key) {
-      out.value.assign(view->value.begin(), view->value.end());
-      out.version = view->version;
-      return out;
-    }
+  const auto r = FindResident(config_.hash_fn(key), key);
+  if (!r) {
+    out.status = NotFoundError("no such key");
+    return out;
+  }
+  Bytes buf;
+  auto view = ReadRecord(*r, buf);
+  if (!view.ok() || view->key != key) {
     // Decode failure under RPC means we raced a local mutation; the client
     // treats this as retryable.
     out.status = AbortedError("entry mutated during RPC get");
     return out;
   }
-  if (auto it = overflow_.find(key); it != overflow_.end()) {
-    out.value = it->second.first;
-    out.version = it->second.second;
-    return out;
-  }
-  out.status = NotFoundError("no such key");
+  out.value.assign(view->value.begin(), view->value.end());
+  out.version = view->version;
   return out;
 }
 
@@ -1137,35 +1169,17 @@ sim::Task<StatusOr<Bytes>> Backend::HandleRepairPull(ByteSpan req) {
   co_return std::move(w).Take();
 }
 
-const std::pair<const std::string, std::pair<Bytes, VersionNumber>>*
-Backend::FindOverflowByHash(const Hash128& hash) const {
-  for (const auto& entry : overflow_) {
-    if (config_.hash_fn(entry.first) == hash) return &entry;
-  }
-  return nullptr;
-}
-
 sim::Task<StatusOr<Bytes>> Backend::HandleGetByHash(ByteSpan req) {
   co_await fabric_.host(host_).cpu().Run(config_.handler_base_cpu);
   rpc::WireReader r(req);
   auto hi = r.GetU64(proto::kTagHashHi);
   auto lo = r.GetU64(proto::kTagHashLo);
   if (!hi || !lo) co_return InvalidArgumentError("GetByHash: missing hash");
-  const Hash128 hash{*hi, *lo};
-  auto it = locations_.find(hash);
-  if (it == locations_.end()) {
-    if (const auto* ov = FindOverflowByHash(hash)) {
-      rpc::WireWriter w;
-      w.PutString(proto::kTagKey, ov->first);
-      proto::PutHit(w, ov->second.first, ov->second.second);
-      co_return std::move(w).Take();
-    }
-    co_return NotFoundError("hash not resident");
-  }
-  IndexEntry e = ReadEntry(it->second.bucket, it->second.way);
+  const auto res = FindResident(Hash128{*hi, *lo});
+  if (!res) co_return NotFoundError("hash not resident");
   // The view aliases `raw`; keep it alive until the response is serialized.
-  Bytes raw = ReadData(e.pointer);
-  auto view = DecodeDataEntry(raw);
+  Bytes raw;
+  auto view = ReadRecord(*res, raw);
   if (!view.ok()) co_return view.status();
   rpc::WireWriter w;
   w.PutString(proto::kTagKey, view->key);
@@ -1183,30 +1197,9 @@ sim::Task<StatusOr<Bytes>> Backend::HandleBumpVersion(ByteSpan req) {
   if (!hi || !lo || !old_version || !new_version) {
     co_return InvalidArgumentError("BumpVersion: missing fields");
   }
-  const Hash128 hash{*hi, *lo};
-  auto it = locations_.find(hash);
-  if (it == locations_.end()) {
-    // Overflow-resident entries are bumpable too.
-    if (const auto* ov = FindOverflowByHash(hash);
-        ov != nullptr && ov->second.second == *old_version) {
-      overflow_[ov->first].second = *new_version;
-      ++stats_.bump_versions;
-      co_return AppliedResponse(true);
-    }
-    co_return AppliedResponse(false);
-  }
-  IndexEntry e = ReadEntry(it->second.bucket, it->second.way);
-  if (e.version != *old_version) co_return AppliedResponse(false);
-  // Rewrite the DataEntry's version + checksum, then the IndexEntry; a
-  // concurrent GET sees either a consistent old or new state, or a
-  // retryable checksum failure.
-  Bytes data = ReadData(e.pointer);
-  Status s = RewriteDataEntryVersion(data, *new_version);
-  if (!s.ok()) co_return s;
-  (void)data_->WriteAt(e.pointer.offset, data);
-  e.version = *new_version;
-  WriteEntry(it->second.bucket, it->second.way, e);
-  ++stats_.bump_versions;
+  const auto res = FindResident(Hash128{*hi, *lo});
+  if (!res || res->version != *old_version) co_return AppliedResponse(false);
+  if (Status s = BumpResident(*res, *new_version); !s.ok()) co_return s;
   co_return AppliedResponse(true);
 }
 
@@ -1285,23 +1278,18 @@ std::vector<proto::RepairRecord> Backend::SnapshotRecords(
     uint32_t shard_filter, uint32_t num_shards) const {
   std::vector<proto::RepairRecord> out;
   if (num_shards == 0) return out;
-  for (const auto& [hash, loc] : locations_) {
-    if (PrimaryShard(hash, num_shards) != shard_filter) continue;
-    IndexEntry e = ReadEntry(loc.bucket, loc.way);
-    out.push_back(proto::RepairRecord{hash, e.version, false});
-  }
   // Overflow-resident keys are real, servable data (via RPC fallback) and
   // must be visible to cohort scans, or repairers would "restore" them
   // forever.
-  for (const auto& [key, stored] : overflow_) {
-    const Hash128 hash = config_.hash_fn(key);
-    if (PrimaryShard(hash, num_shards) != shard_filter) continue;
-    out.push_back(proto::RepairRecord{hash, stored.second, false});
-  }
-  for (const auto& [hash, tomb] : tombstones_.entries()) {
-    if (PrimaryShard(hash, num_shards) != shard_filter) continue;
-    out.push_back(proto::RepairRecord{hash, tomb.version, true});
-  }
+  ForEachRecord(
+      [&](const Resident& r) {
+        if (PrimaryShard(r.hash, num_shards) != shard_filter) return;
+        out.push_back(proto::RepairRecord{r.hash, r.version, false});
+      },
+      [&](const Hash128& hash, const Tombstone& tomb) {
+        if (PrimaryShard(hash, num_shards) != shard_filter) return;
+        out.push_back(proto::RepairRecord{hash, tomb.version, true});
+      });
   return out;
 }
 
@@ -1429,6 +1417,42 @@ sim::Task<void> Backend::RepairShardAgainstCohort(
   }
 }
 
+namespace {
+
+// The keyhash that opens repair's GetByHash and BumpVersion requests.
+rpc::WireWriter KeyhashRequest(const Hash128& hash) {
+  rpc::WireWriter w;
+  w.PutU64(proto::kTagHashHi, hash.hi);
+  w.PutU64(proto::kTagHashLo, hash.lo);
+  return w;
+}
+
+}  // namespace
+
+sim::Task<std::optional<proto::BulkRecord>> Backend::FetchRecord(
+    net::HostId holder, Hash128 hash) {
+  if (holder == host_) {
+    const auto r = FindResident(hash);
+    if (!r) co_return std::nullopt;
+    Bytes raw;
+    auto view = ReadRecord(*r, raw);  // view aliases `raw`
+    if (!view.ok()) co_return std::nullopt;
+    co_return proto::BulkRecord{std::string(view->key),
+                                Bytes(view->value.begin(), view->value.end()),
+                                view->version};
+  }
+  rpc::RpcChannel ch(rpc_network_, host_, holder);
+  auto got = co_await ch.Call(proto::kMethodGetByHash,
+                              KeyhashRequest(hash).Take(), sim::Seconds(1));
+  if (!got.ok()) co_return std::nullopt;
+  rpc::WireReader rr(*got);
+  auto k = rr.GetBytes(proto::kTagKey);
+  auto hit = proto::GetHit(rr);
+  if (!k || !hit) co_return std::nullopt;
+  co_return proto::BulkRecord{
+      ToString(*k), Bytes(hit->value.begin(), hit->value.end()), hit->version};
+}
+
 sim::Task<void> Backend::RepairKey(uint32_t shard, Hash128 hash,
                                    std::vector<Observation_> row,
                                    Observation_ best, size_t best_holder,
@@ -1436,6 +1460,7 @@ sim::Task<void> Backend::RepairKey(uint32_t shard, Hash128 hash,
   (void)shard;
   ++stats_.repairs_issued;
   const VersionNumber fresh = NewRepairVersion();
+  auto holder = [&](size_t i) { return i == 0 ? host_ : cohort[i - 1]; };
 
   if (best.erased) {
     // Propagate the erase to holders of stale live values.
@@ -1443,33 +1468,18 @@ sim::Task<void> Backend::RepairKey(uint32_t shard, Hash128 hash,
       if (row[i].unreachable) continue;
       if (!row[i].present || row[i].erased) continue;
       // Need the key string: fetch it from the stale holder.
-      std::string key;
+      auto held = co_await FetchRecord(holder(i), hash);
+      if (!held) continue;
       if (i == 0) {
-        auto it = locations_.find(hash);
-        if (it == locations_.end()) continue;
-        Bytes raw =
-            ReadData(ReadEntry(it->second.bucket, it->second.way).pointer);
-        auto view = DecodeDataEntry(raw);  // view aliases `raw`
-        if (!view.ok()) continue;
-        key = std::string(view->key);
-        (void)co_await ApplyErase(key, fresh);
-      } else {
-        rpc::WireWriter req;
-        req.PutU64(proto::kTagHashHi, hash.hi);
-        req.PutU64(proto::kTagHashLo, hash.lo);
-        rpc::RpcChannel ch(rpc_network_, host_, cohort[i - 1]);
-        auto got = co_await ch.Call(proto::kMethodGetByHash,
-                                    std::move(req).Take(), sim::Seconds(1));
-        if (!got.ok()) continue;
-        rpc::WireReader rr(*got);
-        auto k = rr.GetBytes(proto::kTagKey);
-        if (!k) continue;
-        rpc::WireWriter er;
-        er.PutBytes(proto::kTagKey, *k);
-        proto::PutVersion(er, fresh);
-        (void)co_await ch.Call(proto::kMethodErase, std::move(er).Take(),
-                               sim::Seconds(1));
+        (void)co_await ApplyErase(held->key, fresh);
+        continue;
       }
+      rpc::WireWriter er;
+      er.PutBytes(proto::kTagKey, AsByteSpan(held->key));
+      proto::PutVersion(er, fresh);
+      rpc::RpcChannel ch(rpc_network_, host_, holder(i));
+      (void)co_await ch.Call(proto::kMethodErase, std::move(er).Take(),
+                             sim::Seconds(1));
     }
     co_return;
   }
@@ -1493,102 +1503,37 @@ sim::Task<void> Backend::RepairKey(uint32_t shard, Hash128 hash,
   }
 
   // Live repair: source the value from a max-version holder, then install
-  // the missing key at the fresh version on dirty holders and bump the
-  // version on clean holders so all three settle on (key, fresh) (§5.4).
-  std::string key;
-  Bytes value;
-  if (best_holder == 0) {
-    auto it = locations_.find(hash);
-    if (it == locations_.end()) {
-      const auto* ov = FindOverflowByHash(hash);
-      if (ov == nullptr) co_return;
-      key = ov->first;
-      value = ov->second.first;
-    } else {
-      Bytes raw =
-          ReadData(ReadEntry(it->second.bucket, it->second.way).pointer);
-      auto view = DecodeDataEntry(raw);  // view aliases `raw`
-      if (!view.ok()) co_return;
-      key = std::string(view->key);
-      value.assign(view->value.begin(), view->value.end());
-    }
-  } else {
-    rpc::WireWriter req;
-    req.PutU64(proto::kTagHashHi, hash.hi);
-    req.PutU64(proto::kTagHashLo, hash.lo);
-    rpc::RpcChannel ch(rpc_network_, host_, cohort[best_holder - 1]);
-    auto got = co_await ch.Call(proto::kMethodGetByHash,
-                                std::move(req).Take(), sim::Seconds(1));
-    if (!got.ok()) co_return;
-    rpc::WireReader rr(*got);
-    auto k = rr.GetBytes(proto::kTagKey);
-    auto hit = proto::GetHit(rr);
-    if (!k || !hit) co_return;
-    key = ToString(*k);
-    value.assign(hit->value.begin(), hit->value.end());
-  }
-
-  if (pure_missing) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (row[i].unreachable || row[i].present) continue;
-      if (i == 0) {
-        (void)co_await ApplySet(key, value, best.version, false);
-        continue;
-      }
-      rpc::WireWriter set;
-      set.PutBytes(proto::kTagKey, AsByteSpan(key));
-      set.PutBytes(proto::kTagValue, value);
-      proto::PutVersion(set, best.version);
-      rpc::RpcChannel ch(rpc_network_, host_, cohort[i - 1]);
-      (void)co_await ch.Call(proto::kMethodSet, std::move(set).Take(),
-                             sim::Seconds(1));
-    }
-    co_return;
-  }
-
+  // it on dirty holders and bump the version on clean ones so all three
+  // settle on one version (§5.4).
+  auto src = co_await FetchRecord(holder(best_holder), hash);
+  if (!src) co_return;
+  const VersionNumber install_at = pure_missing ? best.version : fresh;
   for (size_t i = 0; i < row.size(); ++i) {
     if (row[i].unreachable) continue;
     const bool has_best =
         row[i].present && !row[i].erased && row[i].version == best.version;
+    if (has_best && pure_missing) continue;  // already at the agreed version
     if (i == 0) {
-      if (has_best) {
-        // Local bump.
-        auto it = locations_.find(hash);
-        if (it != locations_.end()) {
-          IndexEntry e = ReadEntry(it->second.bucket, it->second.way);
-          if (e.version == best.version) {
-            Bytes data = ReadData(e.pointer);
-            if (RewriteDataEntryVersion(data, fresh).ok()) {
-              (void)data_->WriteAt(e.pointer.offset, data);
-              e.version = fresh;
-              WriteEntry(it->second.bucket, it->second.way, e);
-              ++stats_.bump_versions;
-            }
-          }
-        } else if (const auto* ov = FindOverflowByHash(hash);
-                   ov != nullptr && ov->second.second == best.version) {
-          overflow_[ov->first].second = fresh;
-          ++stats_.bump_versions;
-        }
-      } else {
-        (void)co_await ApplySet(key, value, fresh, false);
+      if (!has_best) {
+        (void)co_await ApplySet(src->key, src->value, install_at, false);
+      } else if (const auto r = FindResident(hash);
+                 r && r->version == best.version) {
+        (void)BumpResident(*r, fresh);
       }
       continue;
     }
-    rpc::RpcChannel ch(rpc_network_, host_, cohort[i - 1]);
+    rpc::RpcChannel ch(rpc_network_, host_, holder(i));
     if (has_best) {
-      rpc::WireWriter bump;
-      bump.PutU64(proto::kTagHashHi, hash.hi);
-      bump.PutU64(proto::kTagHashLo, hash.lo);
+      rpc::WireWriter bump = KeyhashRequest(hash);
       proto::PutVersion(bump, best.version, proto::kTagExpectedTt);
       proto::PutVersion(bump, fresh);
       (void)co_await ch.Call(proto::kMethodBumpVersion, std::move(bump).Take(),
                              sim::Seconds(1));
     } else {
       rpc::WireWriter set;
-      set.PutBytes(proto::kTagKey, AsByteSpan(key));
-      set.PutBytes(proto::kTagValue, value);
-      proto::PutVersion(set, fresh);
+      set.PutBytes(proto::kTagKey, AsByteSpan(src->key));
+      set.PutBytes(proto::kTagValue, src->value);
+      proto::PutVersion(set, install_at);
       (void)co_await ch.Call(proto::kMethodSet, std::move(set).Take(),
                              sim::Seconds(1));
     }
@@ -1624,8 +1569,9 @@ sim::Task<Status> Backend::MigrateTo(net::HostId target_host) {
 
   constexpr size_t kBatchBytes = 128 * 1024;
   Bytes batch;
-  auto flush = [&]() -> sim::Task<Status> {
-    if (batch.empty()) co_return OkStatus();
+  // Sends the batch once it holds at least `min_bytes`.
+  auto flush = [&](size_t min_bytes) -> sim::Task<Status> {
+    if (batch.empty() || batch.size() < min_bytes) co_return OkStatus();
     rpc::WireWriter w;
     w.PutBytes(proto::kTagRecords, batch);
     batch.clear();
@@ -1634,45 +1580,46 @@ sim::Task<Status> Backend::MigrateTo(net::HostId target_host) {
     co_return resp.status();
   };
 
-  // Snapshot hashes first; the map may mutate while we stream.
-  std::vector<Hash128> hashes;
-  hashes.reserve(locations_.size());
-  for (const auto& [hash, loc] : locations_) hashes.push_back(hash);
-
-  for (const Hash128& hash : hashes) {
-    auto it = locations_.find(hash);
-    if (it == locations_.end()) continue;
-    IndexEntry e = ReadEntry(it->second.bucket, it->second.way);
-    Bytes raw = ReadData(e.pointer);
-    auto view = DecodeDataEntry(raw);  // view aliases `raw`
+  // List the residents first (the tables may mutate while we stream), but
+  // read each record at stream time so values written meanwhile go out at
+  // their latest version.
+  struct Item {
+    Hash128 hash;
+    std::string key;  // overflow residents only
+  };
+  std::vector<Item> residents;
+  residents.reserve(live_entries_);
+  ForEachRecord(
+      [&](const Resident& r) {
+        residents.push_back({r.hash, r.slot ? std::string() : r.ov->first});
+      },
+      [](const Hash128&, const Tombstone&) {});
+  for (const Item& item : residents) {
+    const auto r = FindResident(item.hash, item.key);
+    if (!r) continue;
+    Bytes raw;
+    auto view = ReadRecord(*r, raw);  // view aliases `raw`
     if (!view.ok()) continue;
     proto::AppendBulkRecord(batch, view->key, view->value, view->version);
-    if (batch.size() >= kBatchBytes) {
-      Status s = co_await flush();
-      if (!s.ok()) co_return s;
-    }
+    if (Status s = co_await flush(kBatchBytes); !s.ok()) co_return s;
   }
-  // Overflow side table and tombstones ride along.
-  for (const auto& [key, stored] : overflow_) {
-    proto::AppendBulkRecord(batch, key, stored.first, stored.second);
-    if (batch.size() >= kBatchBytes) {
-      Status s = co_await flush();
-      if (!s.ok()) co_return s;
-    }
-  }
-  // Exact keyed tombstones first — they can evict a stale record that is
-  // already present at the target, which a summary bound cannot.
+  // Exact keyed tombstones follow, listed only now so that an erase acked
+  // while a resident batch was in flight still reaches the target: they can
+  // evict a stale record already present there, which a summary cannot.
+  std::vector<Hash128> erased;
   for (const auto& [hash, tomb] : tombstones_.entries()) {
-    if (tomb.key.empty()) continue;
-    proto::AppendBulkRecord(batch, tomb.key, {}, tomb.version, true);
-    if (batch.size() >= kBatchBytes) {
-      Status s = co_await flush();
-      if (!s.ok()) co_return s;
-    }
+    if (!tomb.key.empty()) erased.push_back(hash);
+  }
+  for (const Hash128& hash : erased) {
+    const auto it = tombstones_.entries().find(hash);
+    if (it == tombstones_.entries().end() || it->second.key.empty()) continue;
+    proto::AppendBulkRecord(batch, it->second.key, {}, it->second.version,
+                            true);
+    if (Status s = co_await flush(kBatchBytes); !s.ok()) co_return s;
   }
   // Tombstone summary (keyless tombstones; the summary bounds them).
   proto::AppendBulkRecord(batch, "", {}, tombstones_.WorstCaseSummary(), true);
-  co_return co_await flush();
+  co_return co_await flush(0);
 }
 
 // ---------------------------------------------------------------------------
@@ -1681,37 +1628,24 @@ sim::Task<Status> Backend::MigrateTo(net::HostId target_host) {
 
 std::vector<proto::BulkRecord> Backend::SnapshotBulk() const {
   std::vector<proto::BulkRecord> out;
-  out.reserve(locations_.size() + overflow_.size() + tombstones_.size());
-  for (const auto& [hash, loc] : locations_) {
-    IndexEntry e = ReadEntry(loc.bucket, loc.way);
-    Bytes raw = ReadData(e.pointer);
-    auto view = DecodeDataEntry(raw);  // view aliases `raw`
-    if (!view.ok()) continue;
-    proto::BulkRecord rec;
-    rec.key = std::string(view->key);
-    rec.value.assign(view->value.begin(), view->value.end());
-    rec.version = view->version;
-    out.push_back(std::move(rec));
-  }
-  for (const auto& [key, stored] : overflow_) {
-    proto::BulkRecord rec;
-    rec.key = key;
-    rec.value = stored.first;
-    rec.version = stored.second;
-    out.push_back(std::move(rec));
-  }
+  out.reserve(live_entries_ + tombstones_.size());
   // Keyed tombstones travel as erased records so racing deletes cannot be
   // resurrected by a concurrent stream from another source. Keyless
   // tombstones are deliberately NOT summarized here: resharding streams are
   // placement-filtered, and a worst-case summary would fence unrelated keys.
-  for (const auto& [hash, tomb] : tombstones_.entries()) {
-    if (tomb.key.empty()) continue;
-    proto::BulkRecord rec;
-    rec.key = tomb.key;
-    rec.version = tomb.version;
-    rec.erased = true;
-    out.push_back(std::move(rec));
-  }
+  ForEachRecord(
+      [&](const Resident& r) {
+        Bytes raw;
+        auto view = ReadRecord(r, raw);  // view aliases `raw`
+        if (!view.ok()) return;
+        out.push_back({std::string(view->key),
+                       Bytes(view->value.begin(), view->value.end()),
+                       view->version});
+      },
+      [&](const Hash128&, const Tombstone& tomb) {
+        if (tomb.key.empty()) return;
+        out.push_back({tomb.key, {}, tomb.version, /*erased=*/true});
+      });
   return out;
 }
 
@@ -1727,44 +1661,25 @@ size_t Backend::DropNonOwned(const CellView& view) {
     return false;
   };
 
-  size_t dropped = 0;
-  std::vector<Hash128> victims;
-  for (const auto& [hash, loc] : locations_) {
-    if (!owned(hash)) victims.push_back(hash);
-  }
-  for (const Hash128& hash : victims) {
-    if (EvictKey(hash)) ++dropped;
-  }
-  std::vector<std::string> overflow_victims;
-  for (const auto& [key, stored] : overflow_) {
-    if (!owned(config_.hash_fn(key))) overflow_victims.push_back(key);
-  }
-  for (const std::string& key : overflow_victims) {
-    const Hash128 hash = config_.hash_fn(key);
-    const uint64_t bucket = BucketIndex(hash, num_buckets_);
-    overflow_.erase(key);
-    if (--overflow_count_[bucket] <= 0) {
-      overflow_count_.erase(bucket);
-      SetOverflowFlag(bucket, false);
-    }
-    ++dropped;
-  }
-  stats_.entries_dropped += static_cast<int64_t>(dropped);
-  return dropped;
+  // Removing one resident leaves the others' handles valid.
+  std::vector<Resident> victims;
+  ForEachRecord(
+      [&](const Resident& r) {
+        if (!owned(r.hash)) victims.push_back(r);
+      },
+      [](const Hash128&, const Tombstone&) {});
+  for (const Resident& r : victims) RemoveResident(r);
+  stats_.entries_dropped += static_cast<int64_t>(victims.size());
+  return victims.size();
 }
 
 uint64_t Backend::index_bytes() const { return index_ ? index_->size() : 0; }
 
 std::optional<VersionNumber> Backend::LookupVersion(
     std::string_view key) const {
-  const Hash128 hash = config_.hash_fn(key);
-  auto it = locations_.find(hash);
-  if (it == locations_.end()) {
-    auto ov = overflow_.find(std::string(key));
-    if (ov != overflow_.end()) return ov->second.second;
-    return std::nullopt;
-  }
-  return ReadEntry(it->second.bucket, it->second.way).version;
+  const auto r = FindResident(config_.hash_fn(key), key);
+  if (!r) return std::nullopt;
+  return r->version;
 }
 
 }  // namespace cm::cliquemap

@@ -315,19 +315,58 @@ class Backend {
 
   // Index helpers --------------------------------------------------------
   MutableByteSpan BucketSpan(uint64_t bucket);
-  std::optional<int> FindWay(uint64_t bucket, const Hash128& hash) const;
   std::optional<int> FindFreeWay(uint64_t bucket) const;
   IndexEntry ReadEntry(uint64_t bucket, int way) const;
   void WriteEntry(uint64_t bucket, int way, const IndexEntry& entry);
   void ClearEntry(uint64_t bucket, int way);
   void SetOverflowFlag(uint64_t bucket, bool overflow);
 
+  // Residency ------------------------------------------------------------
+  // A live key is resident in exactly one place: an RMA index slot or,
+  // under rpc_fallback_on_overflow, the RPC-served overflow table (§4.2).
+  // These helpers are the only code that consults both, so no mutation,
+  // CAS, repair or snapshot can forget the overflow table.
+  struct Location {
+    uint64_t bucket;
+    int way;
+  };
+  using OverflowTable =
+      std::unordered_map<std::string, std::pair<Bytes, VersionNumber>>;
+  // Valid until the next mutation of the index or the overflow table.
+  struct Resident {
+    Hash128 hash;
+    VersionNumber version;             // the stored version
+    const Location* slot = nullptr;    // index slot; null if overflow
+    Pointer data;                      // the slot's DataEntry
+    OverflowTable::const_iterator ov;  // the overflow entry when !slot
+  };
+  // Finds a key's residency. `key` names it when known; an empty key
+  // searches the overflow table by hash (linear; the table is small).
+  std::optional<Resident> FindResident(const Hash128& hash,
+                                       std::string_view key = {}) const;
+  // The index half of FindResident: never touches the overflow table.
+  std::optional<Resident> FindIndexed(const Hash128& hash) const;
+  // Reads a resident's record. Index-resident views alias `buf`, which
+  // the caller keeps alive while it uses them (DESIGN §6.7); overflow
+  // views alias the table entry.
+  StatusOr<DataEntryView> ReadRecord(const Resident& r, Bytes& buf) const;
+  // Removes a resident, keeping live_entries_, the eviction policy, the
+  // tenant ledger and the bucket's overflow count and flag in step.
+  void RemoveResident(const Resident& r);
+  // Rewrites a resident's version in place (repair's version bump).
+  Status BumpResident(const Resident& r, const VersionNumber& version);
+  void InsertIndexed(uint64_t bucket, int way, const IndexEntry& entry);
+  // Inserts or overwrites an overflow entry; a key is counted once.
+  void InsertOverflow(std::string_view key, const Hash128& hash,
+                      ByteSpan value, const VersionNumber& version);
+  // Visits every resident (index, then overflow), then every cached
+  // tombstone; the callbacks must not mutate residency.
+  template <typename OnResident, typename OnTombstone>
+  void ForEachRecord(OnResident on_resident, OnTombstone on_tombstone) const;
+
   // Data helpers ---------------------------------------------------------
   sim::Task<StatusOr<uint64_t>> AllocateWithEviction(uint32_t size);
-  // Finds an overflow-table entry by key hash (linear; the table is small).
-  const std::pair<const std::string, std::pair<Bytes, VersionNumber>>*
-  FindOverflowByHash(const Hash128& hash) const;
-  // Removes a key entirely (index entry + data) — eviction path.
+  // Evicts an index resident (slot + data); false if `hash` holds none.
   bool EvictKey(const Hash128& hash);
   void FreeData(const Pointer& ptr);
   Bytes ReadData(const Pointer& ptr) const;
@@ -358,6 +397,10 @@ class Backend {
                             std::vector<Observation_> row, Observation_ best,
                             size_t best_holder,
                             std::vector<net::HostId> cohort);
+  // The record `holder` stores under `hash`: read locally when the holder
+  // is this backend, else fetched with kMethodGetByHash.
+  sim::Task<std::optional<proto::BulkRecord>> FetchRecord(net::HostId holder,
+                                                          Hash128 hash);
   VersionNumber NewRepairVersion();
 
   // SCAR executor installed on the software NIC (§6.3).
@@ -400,14 +443,10 @@ class Backend {
   std::unique_ptr<TenantMemoryLedger> ledger_;
   TombstoneCache tombstones_;
   // keyhash -> location, for O(1) eviction & repair snapshots.
-  struct Location {
-    uint64_t bucket;
-    int way;
-  };
   std::unordered_map<Hash128, Location> locations_;
   size_t live_entries_ = 0;
   // Bucket-overflow side table (RPC-only service) and per-bucket counts.
-  std::unordered_map<std::string, std::pair<Bytes, VersionNumber>> overflow_;
+  OverflowTable overflow_;
   std::unordered_map<uint64_t, int> overflow_count_;
 
   // Reshaping state.

@@ -2,6 +2,9 @@
 // growth, overflow fallback — driven through real cells.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+
 #include "cliquemap/cell.h"
 
 namespace cm::cliquemap {
@@ -47,6 +50,16 @@ struct BackendFixture : ::testing::Test {
   }
   StatusOr<GetResult> Get(const std::string& k) {
     return RunOp(sim, client->Get(k));
+  }
+  Status Put(const std::string& k, const std::string& value) {
+    return RunOp(sim, client->Set(k, ToBytes(value)));
+  }
+  Status Erase(const std::string& k) { return RunOp(sim, client->Erase(k)); }
+  // A raw RPC from the client's host to `b`.
+  StatusOr<Bytes> Call(Backend& b, const char* method, rpc::WireWriter w) {
+    rpc::RpcChannel ch(cell->rpc_network(), client->host(), b.host());
+    return RunOp(sim, ch.Call(method, std::move(w).Take(),
+                              sim::Milliseconds(10)));
   }
 };
 
@@ -152,6 +165,271 @@ TEST_F(BackendFixture, OverflowRpcFallbackServesHit) {
   EXPECT_GT(client->stats().rpc_fallback_gets, 0);
 }
 
+// ---------------------------------------------------------------------------
+// Overflow keys are first-class state (§4.2): every mutation, CAS, repair
+// and snapshot path must see the RPC-served overflow table.
+// ---------------------------------------------------------------------------
+
+// One bucket of two ways that never resizes, with the overflow fallback on:
+// the third key set overflows.
+CellOptions NarrowOverflowCell() {
+  CellOptions o = TinyCell();
+  o.backend.initial_buckets = 1;
+  o.backend.ways = 2;
+  o.backend.index_load_limit = 10.0;
+  o.backend.rpc_fallback_on_overflow = true;
+  return o;
+}
+
+TEST_F(BackendFixture, EraseAfterReSetOfOverflowKeyStaysErased) {
+  Init(NarrowOverflowCell());
+  Backend& b = cell->backend(0);
+  ASSERT_TRUE(Put("a", "A").ok());
+  ASSERT_TRUE(Put("b", "B").ok());
+  ASSERT_TRUE(Put("c", "C-old").ok());
+  ASSERT_EQ(b.stats().overflow_inserts, 1);  // c overflowed
+  ASSERT_TRUE(Erase("a").ok());
+  // The re-Set moves c into a's freed way; the old overflow copy must go.
+  ASSERT_TRUE(Put("c", "C-new").ok());
+  ASSERT_TRUE(Erase("c").ok());
+  auto got = Get("c");
+  EXPECT_EQ(got.status().code(), StatusCode::kNotFound)
+      << (got.ok() ? ToString(got->value) : got.status().ToString());
+  EXPECT_FALSE(b.LookupVersion("c").has_value());
+}
+
+TEST_F(BackendFixture, ReSetOverflowKeyIsCountedOnce) {
+  Init(NarrowOverflowCell());
+  Backend& b = cell->backend(0);
+  ASSERT_TRUE(Put("a", "A").ok());
+  ASSERT_TRUE(Put("b", "B").ok());
+  ASSERT_TRUE(Put("c", "C1").ok());
+  ASSERT_TRUE(Put("c", "C2").ok());  // still no free way: overwrites
+  ASSERT_EQ(b.stats().overflow_inserts, 2);
+  ASSERT_TRUE(Erase("c").ok());
+  // The bucket holds no overflow key any more, so its overflow bit is
+  // clear and a miss is settled by RMA alone.
+  EXPECT_EQ(Get("absent").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(client->stats().rpc_fallback_gets, 0);
+}
+
+TEST_F(BackendFixture, CasComparesOverflowKeyVersion) {
+  Init(NarrowOverflowCell());
+  Backend& b = cell->backend(0);
+  ASSERT_TRUE(Put("a", "A").ok());
+  ASSERT_TRUE(Put("b", "B").ok());
+  ASSERT_TRUE(Put("c", "C").ok());
+  ASSERT_EQ(b.stats().overflow_inserts, 1);
+  const auto v = b.LookupVersion("c");
+  ASSERT_TRUE(v.has_value());
+
+  auto swapped = RunOp(sim, client->Cas("c", ToBytes("C2"), *v));
+  ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
+  EXPECT_TRUE(*swapped);
+  // Insert-if-absent must fail: c is present, in the overflow table.
+  auto inserted = RunOp(sim, client->Cas("c", ToBytes("C3"), VersionNumber{}));
+  ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+  EXPECT_FALSE(*inserted);
+  auto got = Get("c");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(ToString(got->value), "C2");
+}
+
+// Every surface that enumerates or addresses stored keys sees each key
+// exactly once, at its current version: an overflow-resident key (d), an
+// overflow key re-Set after its erase (e), an index key that was re-Set
+// after overflowing (c), a plain index key (b) and a keyed tombstone (a).
+TEST_F(BackendFixture, EverySurfaceSeesOverflowKeysOnce) {
+  CellOptions o = NarrowOverflowCell();
+  o.num_spares = 1;
+  Init(std::move(o));
+  Backend& b = cell->backend(0);
+  Backend& spare = cell->spare(0);
+  const std::vector<std::string> keys = {"a", "b", "c", "d", "e"};
+  for (const std::string& k : keys) ASSERT_TRUE(Put(k, k + "-1").ok());
+  ASSERT_EQ(b.stats().overflow_inserts, 3);  // c, d and e
+  const auto va = b.LookupVersion("a");
+  ASSERT_TRUE(va.has_value());
+  const VersionNumber erased_at{va->tt_micros + 1, va->client_id, va->seq};
+  {
+    rpc::WireWriter w;
+    w.PutString(proto::kTagKey, "a");
+    proto::PutVersion(w, erased_at);
+    ASSERT_TRUE(Call(b, proto::kMethodErase, std::move(w)).ok());
+  }
+  ASSERT_TRUE(Put("c", "c-2").ok());  // into a's freed way
+  ASSERT_TRUE(Erase("e").ok());
+  ASSERT_TRUE(Put("e", "e-2").ok());  // overflows again
+  ASSERT_EQ(b.stats().overflow_inserts, 4);
+
+  // key -> every (version, erased) sighting on one surface.
+  using Sightings =
+      std::map<std::string, std::vector<std::pair<VersionNumber, bool>>>;
+  Sightings residents;
+  for (const std::string k : {"b", "c", "d", "e"}) {
+    const auto v = b.LookupVersion(k);
+    ASSERT_TRUE(v.has_value()) << k;
+    residents[k] = {{*v, false}};
+  }
+  Sightings everything = residents;
+  everything["a"] = {{erased_at, true}};
+  auto name = [&](const Hash128& hash) {
+    for (const std::string& k : keys) {
+      if (HashKey(k) == hash) return k;
+    }
+    return std::string("?");
+  };
+  auto hash_request = [](const std::string& k) {
+    rpc::WireWriter w;
+    w.PutU64(proto::kTagHashHi, HashKey(k).hi);
+    w.PutU64(proto::kTagHashLo, HashKey(k).lo);
+    return w;
+  };
+
+  struct Surface {
+    const char* name;
+    const Sightings* expected;
+    std::function<Sightings()> observe;
+  };
+  const std::vector<Surface> surfaces = {
+      {"RepairPull", &everything,
+       [&] {
+         rpc::WireWriter w;
+         w.PutU32(proto::kTagFlags, 0);        // shard filter
+         w.PutU32(proto::kTagRecordCount, 1);  // num shards
+         auto resp = Call(b, proto::kMethodRepairPull, std::move(w));
+         EXPECT_TRUE(resp.ok());
+         Sightings seen;
+         if (!resp.ok()) return seen;
+         auto blob = rpc::WireReader(*resp).GetBytes(proto::kTagRecords);
+         for (const auto& rec : proto::ParseRepairRecords(blob.value())) {
+           seen[name(rec.keyhash)].push_back({rec.version, rec.erased});
+         }
+         return seen;
+       }},
+      {"GetByHash", &residents,
+       [&] {
+         Sightings seen;
+         for (const std::string& k : keys) {
+           auto resp = Call(b, proto::kMethodGetByHash, hash_request(k));
+           if (!resp.ok()) continue;
+           rpc::WireReader r(*resp);
+           auto key = r.GetBytes(proto::kTagKey);
+           auto hit = proto::GetHit(r);
+           if (!key || !hit) continue;
+           seen[ToString(*key)].push_back({hit->version, false});
+         }
+         return seen;
+       }},
+      {"SnapshotBulk", &everything,
+       [&] {
+         Sightings seen;
+         for (const auto& rec : b.SnapshotBulk()) {
+           seen[rec.key].push_back({rec.version, rec.erased});
+         }
+         return seen;
+       }},
+      {"MigrateTo", &residents,
+       [&] {
+         EXPECT_TRUE(RunOp(sim, b.MigrateTo(spare.host())).ok());
+         Sightings seen;
+         for (const std::string& k : keys) {
+           if (auto v = spare.LookupVersion(k)) seen[k].push_back({*v, false});
+         }
+         return seen;
+       }},
+      {"BumpVersion", &residents,
+       [&] {
+         // Bumps each key from its current version; reports the version
+         // the bump was accepted from.
+         Sightings seen;
+         for (const std::string& k : keys) {
+           const auto from = b.LookupVersion(k);
+           if (!from) continue;
+           rpc::WireWriter w = hash_request(k);
+           proto::PutVersion(w, *from, proto::kTagExpectedTt);
+           proto::PutVersion(w, VersionNumber{from->tt_micros + 1, 0, 0});
+           auto resp = Call(b, proto::kMethodBumpVersion, std::move(w));
+           if (!resp.ok()) continue;
+           rpc::WireReader r(*resp);
+           if (r.GetU32(proto::kTagApplied) != 1u) continue;
+           if (b.LookupVersion(k) == VersionNumber{from->tt_micros + 1, 0, 0}) {
+             seen[k].push_back({*from, false});
+           }
+         }
+         return seen;
+       }},
+  };
+  for (const Surface& s : surfaces) {
+    EXPECT_EQ(s.observe(), *s.expected) << s.name;
+  }
+
+  // A backend reassigned out of the one-shard view owns none of its keys:
+  // each resident is dropped once and nothing stays servable.
+  b.SetShard(1);
+  EXPECT_EQ(b.DropNonOwned(cell->config_service().view()), residents.size());
+  EXPECT_EQ(b.live_entries(), 0u);
+  for (const std::string& k : keys) EXPECT_FALSE(b.LookupVersion(k)) << k;
+}
+
+// An erase the source acks while a migration batch is in flight must reach
+// the target, even when the key's record already streamed in an earlier
+// batch: the tombstone summary alone cannot evict a record already there.
+TEST_F(BackendFixture, EraseDuringMigrationReachesSpare) {
+  CellOptions o = TinyCell();
+  o.num_spares = 1;
+  o.backend.initial_buckets = 64;
+  Init(std::move(o));
+  Backend& b = cell->backend(0);
+  Backend& spare = cell->spare(0);
+  std::vector<std::string> keys;
+  for (int i = 0; i < 128; ++i) {
+    keys.push_back("m" + std::to_string(i));
+    ASSERT_TRUE(Set(keys.back(), 4096).ok());  // 512 KB: several batches
+  }
+
+  auto migrated = std::make_shared<std::optional<Status>>();
+  sim.Spawn([](Backend& from, net::HostId to,
+               std::shared_ptr<std::optional<Status>> out) -> sim::Task<void> {
+    *out = co_await from.MigrateTo(to);
+  }(b, spare.host(), migrated));
+  // Once the first batch has landed, erase one of its keys at the source.
+  struct Erased {
+    std::string key;
+    std::optional<Status> status;
+    bool mid_migration = false;
+  };
+  auto erased = std::make_shared<Erased>();
+  sim.Spawn([](sim::Simulator& sim, Backend& spare, Client& client,
+               std::vector<std::string> keys,
+               std::shared_ptr<std::optional<Status>> migrated,
+               std::shared_ptr<Erased> out) -> sim::Task<void> {
+    while (out->key.empty() && !migrated->has_value()) {
+      for (const std::string& k : keys) {
+        if (spare.LookupVersion(k)) {
+          out->key = k;
+          break;
+        }
+      }
+      if (out->key.empty()) co_await sim.Delay(sim::Microseconds(1));
+    }
+    if (out->key.empty()) co_return;
+    out->status = co_await client.Erase(out->key);
+    out->mid_migration = !migrated->has_value();
+  }(sim, spare, *client, keys, migrated, erased));
+  sim.Run();
+
+  ASSERT_TRUE(migrated->has_value());
+  EXPECT_TRUE((*migrated)->ok());
+  ASSERT_FALSE(erased->key.empty());
+  ASSERT_TRUE(erased->status.has_value());
+  EXPECT_TRUE(erased->status->ok());
+  ASSERT_TRUE(erased->mid_migration);
+  EXPECT_FALSE(b.LookupVersion(erased->key).has_value());
+  EXPECT_FALSE(spare.LookupVersion(erased->key).has_value());
+  EXPECT_GT(spare.live_entries(), keys.size() / 2);
+}
+
 TEST_F(BackendFixture, StaleVersionSetRejected) {
   Init(TinyCell());
   // Two clients; the second's clock/sequence yields higher versions over
@@ -196,6 +474,51 @@ TEST_F(BackendFixture, TombstoneBlocksLateSet) {
   rpc::WireReader r(*resp);
   EXPECT_EQ(r.GetU32(proto::kTagApplied), 0u);
   EXPECT_EQ(Get("late").status().code(), StatusCode::kNotFound);
+}
+
+// A SET suspends while it writes its DataEntry; an ERASE with a higher
+// version that lands meanwhile must win, or the acked erase is undone.
+TEST_F(BackendFixture, EraseLandingDuringSetWriteWins) {
+  CellOptions o = TinyCell();
+  o.backend.write_bytes_per_ns = 0.01;  // a 4 KB write takes ~400 us
+  Init(std::move(o));
+  Backend& b = cell->backend(0);
+  using Reply = std::shared_ptr<std::optional<StatusOr<Bytes>>>;
+  auto send = [&](std::string method, rpc::WireWriter w,
+                  sim::Duration after) {
+    Reply out = std::make_shared<std::optional<StatusOr<Bytes>>>();
+    sim.Spawn([](sim::Simulator& sim, rpc::RpcNetwork& network,
+                 net::HostId from, net::HostId to, std::string method,
+                 Bytes req, sim::Duration after, Reply out) -> sim::Task<void> {
+      co_await sim.Delay(after);
+      rpc::RpcChannel ch(network, from, to);
+      *out = co_await ch.Call(std::move(method), std::move(req),
+                              sim::Seconds(1));
+    }(sim, cell->rpc_network(), client->host(), b.host(), std::move(method),
+               std::move(w).Take(), after, out));
+    return out;
+  };
+  auto applied = [](const Reply& reply) -> std::optional<uint32_t> {
+    if (!reply->has_value() || !(*reply)->ok()) return std::nullopt;
+    return rpc::WireReader(***reply).GetU32(proto::kTagApplied);
+  };
+
+  rpc::WireWriter set;
+  set.PutString(proto::kTagKey, "race");
+  set.PutBytes(proto::kTagValue, Bytes(4096, std::byte{0x5A}));
+  proto::PutVersion(set, VersionNumber{100, 1, 1});
+  rpc::WireWriter erase;
+  erase.PutString(proto::kTagKey, "race");
+  proto::PutVersion(erase, VersionNumber{200, 1, 1});
+  const Reply set_reply = send(proto::kMethodSet, std::move(set), 0);
+  const Reply erase_reply =
+      send(proto::kMethodErase, std::move(erase), sim::Microseconds(200));
+  sim.Run();
+
+  EXPECT_EQ(applied(erase_reply), 1u);
+  EXPECT_EQ(applied(set_reply), 0u);
+  EXPECT_FALSE(b.LookupVersion("race").has_value());
+  EXPECT_EQ(Get("race").status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(BackendFixture, TouchRpcFeedsEvictionPolicy) {

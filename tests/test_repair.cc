@@ -135,6 +135,49 @@ TEST_F(RepairFixture, EraseWinsOverStaleValueDuringRepair) {
             StatusCode::kNotFound);
 }
 
+TEST_F(RepairFixture, EraseRepairRemovesLocalOverflowCopy) {
+  // One two-way bucket per backend with the overflow fallback on; with
+  // three shards at R=3.2 every backend holds every key, so the third key
+  // overflows on all three.
+  CellOptions o;
+  o.num_shards = 3;
+  o.mode = ReplicationMode::kR32;
+  o.backend.initial_buckets = 1;
+  o.backend.ways = 2;
+  o.backend.index_load_limit = 10.0;
+  o.backend.rpc_fallback_on_overflow = true;
+  Init(std::move(o));
+  for (const std::string k : {"a", "b", "c"}) {
+    ASSERT_TRUE(RunOp(sim, client->Set(k, ToBytes(k))).ok()) << k;
+  }
+  for (uint32_t s = 0; s < 3; ++s) {
+    ASSERT_EQ(cell->backend(s).stats().overflow_inserts, 1) << s;
+  }
+  const auto v = cell->backend(0).LookupVersion("c");
+  ASSERT_TRUE(v.has_value());
+
+  // Backends 1 and 2 apply a newer erase that backend 0 missed.
+  for (uint32_t s : {1u, 2u}) {
+    rpc::WireWriter w;
+    w.PutString(proto::kTagKey, "c");
+    proto::PutVersion(w, VersionNumber{v->tt_micros + 1, v->client_id, v->seq});
+    rpc::RpcChannel ch(cell->rpc_network(), client->host(),
+                       cell->backend(s).host());
+    auto resp = RunOp(sim, ch.Call(proto::kMethodErase, std::move(w).Take(),
+                                   sim::Milliseconds(10)));
+    ASSERT_TRUE(resp.ok());
+    ASSERT_FALSE(cell->backend(s).LookupVersion("c").has_value()) << s;
+  }
+
+  // Recovery on backend 0 must propagate the erase to its overflow copy.
+  EXPECT_TRUE(RunOp(sim, [](Backend* b) -> sim::Task<Status> {
+                co_await b->RecoverFromCohort();
+                co_return OkStatus();
+              }(&cell->backend(0))).ok());
+  EXPECT_GE(cell->backend(0).stats().repairs_issued, 1);
+  EXPECT_FALSE(cell->backend(0).LookupVersion("c").has_value());
+}
+
 TEST_F(RepairFixture, OneWayPartitionDoesNotReversionUnreachableHolder) {
   Init();
   const std::string key = KeyOnShard(0, "oneway-");
