@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # One-command gate: tier-1 build + tests, the perf gates and the sim-time
 # bench pins, then a sanitizer build running the fault-injection (chaos),
-# elasticity (resharding), self-healing (health), wire-codec (proto) and
-# backend residency (backend) suites, among others.
+# elasticity (resharding), self-healing (health), wire-codec (proto),
+# backend residency (backend) and registry-export (metrics) suites, among
+# others.
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast  skip the sanitizer stage (tier-1 only)
@@ -99,11 +100,15 @@ echo "== sim pins: sim-time bench scalars equal the committed baselines =="
 # `.scalars` against the committed BENCH_*.json fails, with the diff.
 # bench_ablation_assoc is the only bench that turns the overflow fallback
 # on; bench_resharding and bench_fig03_reshaping drive SnapshotBulk,
-# DropNonOwned and the backend mutation paths.
+# DropNonOwned and the backend mutation paths. bench_fig07_cpu_per_op
+# derives its scalars only from registry snapshot deltas, so it also pins
+# the exported metric names; bench_ablation_eviction reads
+# Cell::AggregateBackendStats.
 for bench in bench_ablation_quorum bench_fig06_languages \
              bench_fig11_preferred_backend bench_tenant_isolation \
              bench_fig16_17_1rma_ramp bench_ablation_assoc \
-             bench_resharding bench_fig03_reshaping; do
+             bench_resharding bench_fig03_reshaping \
+             bench_fig07_cpu_per_op bench_ablation_eviction; do
   baseline="BENCH_${bench#bench_}.json"
   if ! diff <("$JQ" -S .scalars "${baseline}") \
             <(./build/bench/${bench} --json | "$JQ" -S .scalars); then
@@ -122,7 +127,7 @@ echo "== sanitizer (ASan/UBSan): build =="
 cmake -B build-asan -S . -DCM_SANITIZE=ON >/dev/null
 cmake --build build-asan -j
 
-echo "== sanitizer: chaos + resharding + health + tenancy + batch + loccache + quorum + disaster + proto + backend labels =="
-(cd build-asan && ctest --output-on-failure -j "$(nproc)" -L 'chaos|resharding|health|tenancy|batch|loccache|quorum|disaster|proto|backend')
+echo "== sanitizer: chaos + resharding + health + tenancy + batch + loccache + quorum + disaster + proto + backend + metrics labels =="
+(cd build-asan && ctest --output-on-failure -j "$(nproc)" -L 'chaos|resharding|health|tenancy|batch|loccache|quorum|disaster|proto|backend|metrics')
 
 echo "== all checks passed =="

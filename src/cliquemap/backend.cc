@@ -115,58 +115,7 @@ Backend::Backend(net::Fabric& fabric, rpc::RpcNetwork& rpc_network,
       tombstones_(config_.tombstone_capacity),
       exports_(&fabric.metrics()) {
   const metrics::Labels l = {{"host", std::to_string(host_)}};
-  exports_.ExportCounter("cm.backend.sets_applied", l, &stats_.sets_applied);
-  exports_.ExportCounter("cm.backend.sets_rejected_stale", l,
-                         &stats_.sets_rejected_stale);
-  exports_.ExportCounter("cm.backend.erases_applied", l,
-                         &stats_.erases_applied);
-  exports_.ExportCounter("cm.backend.cas_applied", l, &stats_.cas_applied);
-  exports_.ExportCounter("cm.backend.cas_failed", l, &stats_.cas_failed);
-  exports_.ExportCounter("cm.backend.rpc_gets", l, &stats_.rpc_gets);
-  exports_.ExportCounter("cm.backend.degraded_gets_served", l,
-                         &stats_.degraded_gets_served);
-  exports_.ExportCounter("cm.backend.rpc_multigets", l, &stats_.rpc_multigets);
-  exports_.ExportCounter("cm.backend.rpc_multiget_keys", l,
-                         &stats_.rpc_multiget_keys);
-  exports_.ExportCounter("cm.backend.touches_ingested", l,
-                         &stats_.touches_ingested);
-  exports_.ExportCounter("cm.backend.evictions_capacity", l,
-                         &stats_.evictions_capacity);
-  exports_.ExportCounter("cm.backend.evictions_assoc", l,
-                         &stats_.evictions_assoc);
-  exports_.ExportCounter("cm.backend.overflow_inserts", l,
-                         &stats_.overflow_inserts);
-  exports_.ExportCounter("cm.backend.index_resizes", l,
-                         &stats_.index_resizes);
-  exports_.ExportCounter("cm.backend.data_grows", l, &stats_.data_grows);
-  exports_.ExportCounter("cm.backend.repair_scans", l, &stats_.repair_scans);
-  exports_.ExportCounter("cm.backend.repairs_issued", l,
-                         &stats_.repairs_issued);
-  exports_.ExportCounter("cm.backend.bump_versions", l,
-                         &stats_.bump_versions);
-  exports_.ExportCounter("cm.backend.bulk_installed", l,
-                         &stats_.bulk_installed);
-  exports_.ExportCounter("cm.backend.repair_pulls_served", l,
-                         &stats_.repair_pulls_served);
-  exports_.ExportCounter("cm.backend.repair_pulls_sent", l,
-                         &stats_.repair_pulls_sent);
-  exports_.ExportCounter("cm.backend.repair_pull_failures", l,
-                         &stats_.repair_pull_failures);
-  exports_.ExportCounter("cm.backend.stale_generation_rejects", l,
-                         &stats_.stale_generation_rejects);
-  exports_.ExportCounter("cm.backend.draining_rejects", l,
-                         &stats_.draining_rejects);
-  exports_.ExportCounter("cm.backend.entries_dropped", l,
-                         &stats_.entries_dropped);
-  exports_.ExportCounter("cm.backend.heartbeats_sent", l,
-                         &stats_.heartbeats_sent);
-  exports_.ExportCounter("cm.backend.heartbeat_failures", l,
-                         &stats_.heartbeat_failures);
-  exports_.ExportCounter("cm.backend.self_fences", l, &stats_.self_fences);
-  exports_.ExportCounter("cm.backend.unfences", l, &stats_.unfences);
-  exports_.ExportCounter("cm.backend.tenant_sheds", l, &stats_.tenant_sheds);
-  exports_.ExportCounter("cm.backend.evictions_tenant", l,
-                         &stats_.evictions_tenant);
+  metrics::ExportCounters(exports_, "cm.backend.", l, stats_);
   exports_.ExportGauge("cm.backend.live_entries", l, [this] {
     return static_cast<int64_t>(live_entries_);
   });

@@ -25,6 +25,7 @@
 #include "cliquemap/tenancy.h"
 #include "cliquemap/tombstone.h"
 #include "cliquemap/types.h"
+#include "common/metrics.h"
 #include "rma/transport.h"
 #include "rpc/rpc.h"
 #include "sim/sync.h"
@@ -79,54 +80,58 @@ struct BackendConfig {
   uint64_t seed = 1;
 };
 
+// Backend counters, exported as cm.backend.<field>{host=...}.
+#define CM_BACKEND_STATS(X)                                                   \
+  X(sets_applied)                                                             \
+  X(sets_rejected_stale)                                                      \
+  X(erases_applied)                                                           \
+  X(cas_applied)                                                              \
+  X(cas_failed)                                                               \
+  X(rpc_gets)                                                                 \
+  /* Quorum-loss degraded reads: single-replica verdicts served (the          \
+     client's last resort when no index quorum is reachable). */              \
+  X(degraded_gets_served)                                                     \
+  /* Batched RPC fallback (MultiGet): calls served and keys they carried. */  \
+  X(rpc_multigets)                                                            \
+  X(rpc_multiget_keys)                                                        \
+  X(touches_ingested)                                                         \
+  X(evictions_capacity)                                                       \
+  X(evictions_assoc)                                                          \
+  X(overflow_inserts)                                                         \
+  X(index_resizes)                                                            \
+  X(data_grows)                                                               \
+  X(repair_scans)                                                             \
+  X(repairs_issued)                                                           \
+  X(bump_versions)                                                            \
+  X(bulk_installed)                                                           \
+  /* Repair-pull traffic (chaos observability): pulls this backend served     \
+     as a cohort member, pulls it sent as the designated repairer, and sent   \
+     pulls that failed (partition / fault injection) and left peers marked    \
+     unreachable rather than empty. */                                        \
+  X(repair_pulls_served)                                                      \
+  X(repair_pulls_sent)                                                        \
+  X(repair_pull_failures)                                                     \
+  /* Elasticity (resharding) counters: mutations bounced for carrying a       \
+     stale cell generation or landing on a draining shard, and records        \
+     dropped by the post-commit ownership GC. */                              \
+  X(stale_generation_rejects)                                                 \
+  X(draining_rejects)                                                         \
+  X(entries_dropped)                                                          \
+  /* Lease-based membership (self-healing control plane): heartbeats sent     \
+     to the ConfigService, failed renewals, and self-fence/unfence events     \
+     (RMA windows revoked while the lease is lapsed, restored on renewal). */ \
+  X(heartbeats_sent)                                                          \
+  X(heartbeat_failures)                                                       \
+  X(self_fences)                                                              \
+  X(unfences)                                                                 \
+  /* Multi-tenant QoS: mutations shed by the admission queue (quota or        \
+     overload), and evictions forced by a tenant hitting its own memory       \
+     quota (contained — the victim belongs to the same tenant). */            \
+  X(tenant_sheds)                                                             \
+  X(evictions_tenant)
+
 struct BackendStats {
-  int64_t sets_applied = 0;
-  int64_t sets_rejected_stale = 0;
-  int64_t erases_applied = 0;
-  int64_t cas_applied = 0;
-  int64_t cas_failed = 0;
-  int64_t rpc_gets = 0;
-  // Quorum-loss degraded reads: single-replica verdicts served (the
-  // client's last resort when no index quorum is reachable).
-  int64_t degraded_gets_served = 0;
-  // Batched RPC fallback (MultiGet): calls served and keys they carried.
-  int64_t rpc_multigets = 0;
-  int64_t rpc_multiget_keys = 0;
-  int64_t touches_ingested = 0;
-  int64_t evictions_capacity = 0;
-  int64_t evictions_assoc = 0;
-  int64_t overflow_inserts = 0;
-  int64_t index_resizes = 0;
-  int64_t data_grows = 0;
-  int64_t repair_scans = 0;
-  int64_t repairs_issued = 0;
-  int64_t bump_versions = 0;
-  int64_t bulk_installed = 0;
-  // Repair-pull traffic (chaos observability): pulls this backend served as
-  // a cohort member, pulls it sent as the designated repairer, and sent
-  // pulls that failed (partition / fault injection) and left peers marked
-  // unreachable rather than empty.
-  int64_t repair_pulls_served = 0;
-  int64_t repair_pulls_sent = 0;
-  int64_t repair_pull_failures = 0;
-  // Elasticity (resharding) counters: mutations bounced for carrying a
-  // stale cell generation or landing on a draining shard, and records
-  // dropped by the post-commit ownership GC.
-  int64_t stale_generation_rejects = 0;
-  int64_t draining_rejects = 0;
-  int64_t entries_dropped = 0;
-  // Lease-based membership (self-healing control plane): heartbeats sent to
-  // the ConfigService, failed renewals, and self-fence/unfence events (RMA
-  // windows revoked while the lease is lapsed, restored on renewal).
-  int64_t heartbeats_sent = 0;
-  int64_t heartbeat_failures = 0;
-  int64_t self_fences = 0;
-  int64_t unfences = 0;
-  // Multi-tenant QoS: mutations shed by the admission queue (quota or
-  // overload), and evictions forced by a tenant hitting its own memory
-  // quota (contained — the victim belongs to the same tenant).
-  int64_t tenant_sheds = 0;
-  int64_t evictions_tenant = 0;
+  CM_METRICS_COUNTERS(BackendStats, CM_BACKEND_STATS)
 };
 
 class Backend {

@@ -303,36 +303,9 @@ uint64_t Cell::TotalMemoryFootprint() const {
 
 BackendStats Cell::AggregateBackendStats() const {
   BackendStats agg;
-  auto add = [&](const BackendStats& s) {
-    agg.sets_applied += s.sets_applied;
-    agg.sets_rejected_stale += s.sets_rejected_stale;
-    agg.erases_applied += s.erases_applied;
-    agg.cas_applied += s.cas_applied;
-    agg.cas_failed += s.cas_failed;
-    agg.rpc_gets += s.rpc_gets;
-    agg.degraded_gets_served += s.degraded_gets_served;
-    agg.touches_ingested += s.touches_ingested;
-    agg.evictions_capacity += s.evictions_capacity;
-    agg.evictions_assoc += s.evictions_assoc;
-    agg.overflow_inserts += s.overflow_inserts;
-    agg.index_resizes += s.index_resizes;
-    agg.data_grows += s.data_grows;
-    agg.repair_scans += s.repair_scans;
-    agg.repairs_issued += s.repairs_issued;
-    agg.bump_versions += s.bump_versions;
-    agg.bulk_installed += s.bulk_installed;
-    agg.repair_pulls_served += s.repair_pulls_served;
-    agg.repair_pulls_sent += s.repair_pulls_sent;
-    agg.repair_pull_failures += s.repair_pull_failures;
-    agg.stale_generation_rejects += s.stale_generation_rejects;
-    agg.draining_rejects += s.draining_rejects;
-    agg.entries_dropped += s.entries_dropped;
-    agg.tenant_sheds += s.tenant_sheds;
-    agg.evictions_tenant += s.evictions_tenant;
-  };
-  for (const auto& b : backends_) add(b->stats());
-  for (const auto& s : spares_) add(s->stats());
-  for (const auto& r : retired_) add(r->stats());
+  for (const auto& b : backends_) agg += b->stats();
+  for (const auto& s : spares_) agg += s->stats();
+  for (const auto& r : retired_) agg += r->stats();
   return agg;
 }
 

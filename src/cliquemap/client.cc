@@ -66,51 +66,9 @@ Client::Client(net::Fabric& fabric, rpc::RpcNetwork& rpc_network,
       loccache_(config.loccache_entries),
       exports_(&fabric.metrics()) {
   const metrics::Labels l = {{"client", std::to_string(config_.client_id)}};
-  exports_.ExportCounter("cm.client.gets", l, &stats_.gets);
-  exports_.ExportCounter("cm.client.hits", l, &stats_.hits);
-  exports_.ExportCounter("cm.client.misses", l, &stats_.misses);
-  exports_.ExportCounter("cm.client.get_errors", l, &stats_.get_errors);
-  exports_.ExportCounter("cm.client.sets", l, &stats_.sets);
-  exports_.ExportCounter("cm.client.set_errors", l, &stats_.set_errors);
-  exports_.ExportCounter("cm.client.erases", l, &stats_.erases);
-  exports_.ExportCounter("cm.client.cas_ops", l, &stats_.cas_ops);
-  exports_.ExportCounter("cm.client.retries", l, &stats_.retries);
-  exports_.ExportCounter("cm.client.torn_reads", l, &stats_.torn_reads);
-  exports_.ExportCounter("cm.client.inquorate", l, &stats_.inquorate);
-  exports_.ExportCounter("cm.client.preferred_mismatch", l,
-                         &stats_.preferred_mismatch);
-  exports_.ExportCounter("cm.client.window_errors", l, &stats_.window_errors);
-  exports_.ExportCounter("cm.client.config_refreshes", l,
-                         &stats_.config_refreshes);
-  exports_.ExportCounter("cm.client.rpc_fallback_gets", l,
-                         &stats_.rpc_fallback_gets);
-  exports_.ExportCounter("cm.client.touch_rpcs", l, &stats_.touch_rpcs);
-  exports_.ExportCounter("cm.client.op_timeouts", l, &stats_.op_timeouts);
-  exports_.ExportCounter("cm.client.backoff_events", l,
-                         &stats_.backoff_events);
-  exports_.ExportCounter("cm.client.budget_exhausted", l,
-                         &stats_.budget_exhausted);
-  exports_.ExportCounter("cm.client.compress_bytes_in", l,
-                         &stats_.compress_bytes_in);
-  exports_.ExportCounter("cm.client.compress_bytes_out", l,
-                         &stats_.compress_bytes_out);
-  exports_.ExportCounter("cm.client.stale_generation_rejects", l,
-                         &stats_.stale_generation_rejects);
-  exports_.ExportCounter("cm.client.prev_window_gets", l,
-                         &stats_.prev_window_gets);
-  exports_.ExportCounter("cm.client.hedged_reads", l, &stats_.hedged_reads);
-  exports_.ExportCounter("cm.client.hedge_wins", l, &stats_.hedge_wins);
-  exports_.ExportCounter("cm.client.slow_ejections", l,
-                         &stats_.slow_ejections);
-  exports_.ExportCounter("cm.client.degraded.attempts", l,
-                         &stats_.degraded_attempts);
-  exports_.ExportCounter("cm.client.degraded.hits", l, &stats_.degraded_hits);
-  exports_.ExportCounter("cm.client.degraded.misses", l,
-                         &stats_.degraded_misses);
-  exports_.ExportCounter("cm.client.degraded.rollback_refused", l,
-                         &stats_.degraded_rollback_refused);
-  exports_.ExportCounter("cm.client.degraded.unreachable", l,
-                         &stats_.degraded_unreachable);
+  metrics::ExportCounters(exports_, "cm.client.", l, stats_);
+  metrics::ExportCounters(exports_, "cm.client.loccache.", l,
+                          loccache_.stats());
   if (config_.tenant != kDefaultTenant) {
     metrics::Labels tl = l;
     tl.emplace_back("tenant", std::to_string(config_.tenant));
@@ -118,35 +76,6 @@ Client::Client(net::Fabric& fabric, rpc::RpcNetwork& rpc_network,
     exports_.ExportCounter("cm.tenant.rma_bytes", tl,
                            &stats_.tenant_rma_bytes);
   }
-  exports_.ExportCounter("cm.client.multigets", l, &stats_.multigets);
-  exports_.ExportCounter("cm.client.batch.keys", l, &stats_.batch_keys);
-  exports_.ExportCounter("cm.client.batch.vector_ops", l,
-                         &stats_.batch_vector_ops);
-  exports_.ExportCounter("cm.client.batch.vector_entries", l,
-                         &stats_.batch_vector_entries);
-  exports_.ExportCounter("cm.client.batch.rpc_fallbacks", l,
-                         &stats_.batch_rpc_fallbacks);
-  exports_.ExportCounter("cm.client.batch.slowpath_keys", l,
-                         &stats_.batch_slowpath_keys);
-  exports_.ExportCounter("cm.client.batch.inflight_waits", l,
-                         &stats_.batch_inflight_waits);
-  // Keys served per vectored RMA op — the amortization factor. ≥2 means the
-  // batched pipeline issues at least 2x fewer ops than a naive fan-out.
-  exports_.ExportGauge("cm.client.batch.coalesce_ratio", l, [this] {
-    return stats_.batch_vector_ops > 0
-               ? stats_.batch_vector_entries / stats_.batch_vector_ops
-               : 0;
-  });
-  LocCacheStats* lc = loccache_.mutable_stats();
-  exports_.ExportCounter("cm.client.loccache.hits", l, &lc->hits);
-  exports_.ExportCounter("cm.client.loccache.misses", l, &lc->misses);
-  exports_.ExportCounter("cm.client.loccache.invalidations", l,
-                         &lc->invalidations);
-  exports_.ExportCounter("cm.client.loccache.evictions", l, &lc->evictions);
-  exports_.ExportCounter("cm.client.loccache.speculative_reads", l,
-                         &stats_.loccache_speculative_reads);
-  exports_.ExportCounter("cm.client.loccache.speculative_failures", l,
-                         &stats_.loccache_speculative_failures);
   exports_.ExportGauge("cm.client.loccache.entries", l,
                        [this] { return static_cast<int64_t>(loccache_.size()); });
   // Lifetime fraction of speculative reads that validated, in percent; the
@@ -155,9 +84,6 @@ Client::Client(net::Fabric& fabric, rpc::RpcNetwork& rpc_network,
   exports_.ExportGauge("cm.client.loccache.success_ratio_pct", l, [this] {
     return spec_governor_.success_ratio_pct();
   });
-  exports_.ExportCounter("cm.client.issue_cpu_ns", l, &stats_.issue_cpu_ns);
-  exports_.ExportCounter("cm.client.validate_cpu_ns", l,
-                         &stats_.validate_cpu_ns);
   exports_.ExportHistogram("cm.client.backoff_ns", l, &stats_.backoff_ns);
   exports_.ExportHistogram("cm.client.get_latency_ns", l,
                            &stats_.get_latency_ns);

@@ -174,61 +174,74 @@ struct MultiGetResult {
   MultiGetStats stats;
 };
 
+// Client counters, exported as cm.client.<name>{client=...}.
+#define CM_CLIENT_STATS(X)                                                   \
+  X(gets)                                                                    \
+  X(hits)                                                                    \
+  X(misses)                                                                  \
+  X(get_errors)                                                              \
+  X(sets)                                                                    \
+  X(set_errors)                                                              \
+  X(erases)                                                                  \
+  X(cas_ops)                                                                 \
+  X(retries)                                                                 \
+  X(torn_reads)          /* checksum validation failures */                  \
+  X(inquorate)           /* no version quorum formed */                      \
+  X(preferred_mismatch)  /* first responder not in quorum */                 \
+  X(window_errors)       /* revoked-window RMA failures */                   \
+  X(config_refreshes)                                                        \
+  X(rpc_fallback_gets)                                                       \
+  X(touch_rpcs)                                                              \
+  /* Fault/retry observability (chaos harness). */                           \
+  X(op_timeouts)         /* transport ops lost → completed by timeout */     \
+  X(backoff_events)      /* jittered backoffs taken (retry + replica) */     \
+  X(budget_exhausted)    /* ops that spent the whole retry budget */         \
+  X(compress_bytes_in)   /* raw value bytes offered to compression */        \
+  X(compress_bytes_out)  /* stored bytes after compression */                \
+  /* Elasticity (resharding) observability. */                               \
+  X(stale_generation_rejects)  /* mutation acks bounced by gen fence */      \
+  X(prev_window_gets)          /* GETs served by previous owners */          \
+  /* Gray-failure defense observability. */                                  \
+  X(hedged_reads)    /* secondary data fetches issued */                     \
+  X(hedge_wins)      /* GETs resolved by the hedge, not the primary */       \
+  X(slow_ejections)  /* replicas dropped from a fan-out as outliers */       \
+  /* Multi-tenant QoS observability (RMA plane, client-side policing);       \
+     exported by hand as cm.tenant.*, and only for a non-default tenant. */  \
+  X(tenant_shed, nullptr)       /* GETs shed by the client's own buckets */  \
+  X(tenant_rma_bytes, nullptr)  /* value bytes debited against the quota */  \
+  /* 1-RMA speculative path observability: direct reads issued, and those    \
+     that failed validation and fell back to the quorum path (the hit/miss/  \
+     invalidation counters live in the cache itself, LocCacheStats). */      \
+  X(loccache_speculative_reads, "loccache.speculative_reads")                \
+  X(loccache_speculative_failures, "loccache.speculative_failures")          \
+  /* Batched MultiGet observability: MultiGet calls, unique keys entering    \
+     the batched path, vectored RMA ops issued and the entries they carried, \
+     batched fallback RPCs issued, keys bounced to the single-key path, and  \
+     issues blocked by the incast gate. */                                   \
+  X(multigets)                                                               \
+  X(batch_keys, "batch.keys")                                                \
+  X(batch_vector_ops, "batch.vector_ops")                                    \
+  X(batch_vector_entries, "batch.vector_entries")                            \
+  X(batch_rpc_fallbacks, "batch.rpc_fallbacks")                              \
+  X(batch_slowpath_keys, "batch.slowpath_keys")                              \
+  X(batch_inflight_waits, "batch.inflight_waits")                            \
+  /* Quorum-loss degraded reads: degraded passes entered, best-effort        \
+     values returned, sub-quorum absences (tombstone-led), answers refused   \
+     for being below the quorumed floor, and passes where no replica         \
+     answered at all. */                                                     \
+  X(degraded_attempts, "degraded.attempts")                                  \
+  X(degraded_hits, "degraded.hits")                                          \
+  X(degraded_misses, "degraded.misses")                                      \
+  X(degraded_rollback_refused, "degraded.rollback_refused")                  \
+  X(degraded_unreachable, "degraded.unreachable")                            \
+  /* Client-library CPU attribution (Figs 6b/7): time charged to the host    \
+     CPU issuing RMA ops and validating responses. */                        \
+  X(issue_cpu_ns)                                                            \
+  X(validate_cpu_ns)
+
+// `+=` sums the counters only; merge the histograms with Histogram::Merge.
 struct ClientStats {
-  int64_t gets = 0;
-  int64_t hits = 0;
-  int64_t misses = 0;
-  int64_t get_errors = 0;
-  int64_t sets = 0;
-  int64_t set_errors = 0;
-  int64_t erases = 0;
-  int64_t cas_ops = 0;
-  int64_t retries = 0;
-  int64_t torn_reads = 0;          // checksum validation failures
-  int64_t inquorate = 0;           // no version quorum formed
-  int64_t preferred_mismatch = 0;  // first responder not in quorum
-  int64_t window_errors = 0;       // revoked-window RMA failures
-  int64_t config_refreshes = 0;
-  int64_t rpc_fallback_gets = 0;
-  int64_t touch_rpcs = 0;
-  // Fault/retry observability (chaos harness).
-  int64_t op_timeouts = 0;        // transport ops lost → completed by timeout
-  int64_t backoff_events = 0;     // jittered backoffs taken (retry + replica)
-  int64_t budget_exhausted = 0;   // ops that spent the whole retry budget
-  int64_t compress_bytes_in = 0;   // raw value bytes offered to compression
-  int64_t compress_bytes_out = 0;  // stored bytes after compression
-  // Elasticity (resharding) observability.
-  int64_t stale_generation_rejects = 0;  // mutation acks bounced by gen fence
-  int64_t prev_window_gets = 0;          // GETs served by previous owners
-  // Gray-failure defense observability.
-  int64_t hedged_reads = 0;     // secondary data fetches issued
-  int64_t hedge_wins = 0;       // GETs resolved by the hedge, not the primary
-  int64_t slow_ejections = 0;   // replicas dropped from a fan-out as outliers
-  // Multi-tenant QoS observability (RMA plane, client-side policing).
-  int64_t tenant_shed = 0;       // GETs shed by the client's own buckets
-  int64_t tenant_rma_bytes = 0;  // value bytes debited against the quota
-  // 1-RMA speculative path observability (cm.client.loccache.*; the
-  // hit/miss/invalidation/entries counters live in the cache itself).
-  int64_t loccache_speculative_reads = 0;     // direct reads issued
-  int64_t loccache_speculative_failures = 0;  // failed validation → quorum
-  // Batched MultiGet observability (cm.client.batch.*).
-  int64_t multigets = 0;             // MultiGet calls
-  int64_t batch_keys = 0;            // unique keys entering the batched path
-  int64_t batch_vector_ops = 0;      // vectored RMA ops issued
-  int64_t batch_vector_entries = 0;  // entries those ops carried
-  int64_t batch_rpc_fallbacks = 0;   // batched fallback RPCs issued
-  int64_t batch_slowpath_keys = 0;   // keys bounced to the single-key path
-  int64_t batch_inflight_waits = 0;  // issues blocked by the incast gate
-  // Quorum-loss degraded reads (cm.client.degraded.*).
-  int64_t degraded_attempts = 0;          // degraded passes entered
-  int64_t degraded_hits = 0;              // best-effort values returned
-  int64_t degraded_misses = 0;            // sub-quorum absence (tombstone-led)
-  int64_t degraded_rollback_refused = 0;  // answers below the quorumed floor
-  int64_t degraded_unreachable = 0;       // no replica answered at all
-  // Client-library CPU attribution (Figs 6b/7): time charged to the host CPU
-  // issuing RMA ops and validating responses.
-  int64_t issue_cpu_ns = 0;
-  int64_t validate_cpu_ns = 0;
+  CM_METRICS_COUNTERS(ClientStats, CM_CLIENT_STATS)
   // Time-valued metrics are histograms (not raw ns totals): each recorded
   // sample is one backoff sleep / one op's latency. Totals are .sum().
   Histogram backoff_ns;

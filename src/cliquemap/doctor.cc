@@ -21,33 +21,7 @@ CellDoctor::CellDoctor(Cell& cell, DoctorOptions options)
       options_(options),
       resharder_(cell, options.resharder),
       exports_(&cell.metrics()) {
-  exports_.ExportCounter("cm.doctor.probes", {}, &stats_.probes);
-  exports_.ExportCounter("cm.doctor.probe_failures", {}, &stats_.probe_failures);
-  exports_.ExportCounter("cm.doctor.leases_expired", {}, &stats_.leases_expired);
-  exports_.ExportCounter("cm.doctor.suspect_transitions", {},
-                         &stats_.suspect_transitions);
-  exports_.ExportCounter("cm.doctor.dead_transitions", {},
-                         &stats_.dead_transitions);
-  exports_.ExportCounter("cm.doctor.slow_transitions", {},
-                         &stats_.slow_transitions);
-  exports_.ExportCounter("cm.doctor.recoveries_started", {},
-                         &stats_.recoveries_started);
-  exports_.ExportCounter("cm.doctor.recoveries_succeeded", {},
-                         &stats_.recoveries_succeeded);
-  exports_.ExportCounter("cm.doctor.recoveries_failed", {},
-                         &stats_.recoveries_failed);
-  exports_.ExportCounter("cm.doctor.flap_suppressed", {},
-                         &stats_.flap_suppressed);
-  exports_.ExportCounter("cm.doctor.down_replications", {},
-                         &stats_.down_replications);
-  exports_.ExportCounter("cm.doctor.domain_down_events", {},
-                         &stats_.domain_down_events);
-  exports_.ExportCounter("cm.doctor.domain_down_cleared", {},
-                         &stats_.domain_down_cleared);
-  exports_.ExportCounter("cm.doctor.majority_dead_holds", {},
-                         &stats_.majority_dead_holds);
-  exports_.ExportCounter("cm.doctor.recoveries_deferred", {},
-                         &stats_.recoveries_deferred);
+  metrics::ExportCounters(exports_, "cm.doctor.", {}, stats_);
   exports_.ExportGauge("cm.doctor.active_recoveries", {}, [this] {
     return static_cast<int64_t>(active_recoveries_);
   });

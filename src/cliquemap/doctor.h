@@ -93,22 +93,26 @@ struct DoctorOptions {
   ResharderOptions resharder;
 };
 
+// Doctor counters, exported as cm.doctor.<field>.
+#define CM_DOCTOR_STATS(X)                                                  \
+  X(probes)                                                                 \
+  X(probe_failures)                                                         \
+  X(leases_expired)                                                         \
+  X(suspect_transitions)                                                    \
+  X(dead_transitions)                                                       \
+  X(slow_transitions)                                                       \
+  X(recoveries_started)                                                     \
+  X(recoveries_succeeded)                                                   \
+  X(recoveries_failed)                                                      \
+  X(flap_suppressed)      /* dead verdicts ignored inside a cooldown */     \
+  X(down_replications)    /* dead shards left to the surviving cohort */    \
+  X(domain_down_events)   /* whole failure domain lost (one per episode) */ \
+  X(domain_down_cleared)                                                    \
+  X(majority_dead_holds)  /* majority-brake engagements (per episode) */    \
+  X(recoveries_deferred)  /* actionable shards queued behind budget */
+
 struct DoctorStats {
-  int64_t probes = 0;
-  int64_t probe_failures = 0;
-  int64_t leases_expired = 0;
-  int64_t suspect_transitions = 0;
-  int64_t dead_transitions = 0;
-  int64_t slow_transitions = 0;
-  int64_t recoveries_started = 0;
-  int64_t recoveries_succeeded = 0;
-  int64_t recoveries_failed = 0;
-  int64_t flap_suppressed = 0;     // dead verdicts ignored inside a cooldown
-  int64_t down_replications = 0;   // dead shards left to the surviving cohort
-  int64_t domain_down_events = 0;  // whole failure domain lost (one per episode)
-  int64_t domain_down_cleared = 0;
-  int64_t majority_dead_holds = 0;   // majority-brake engagements (per episode)
-  int64_t recoveries_deferred = 0;   // actionable shards queued behind budget
+  CM_METRICS_COUNTERS(DoctorStats, CM_DOCTOR_STATS)
 };
 
 // One automated recovery, for MTTR accounting: `last_ok` is the final

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "common/metrics.h"
 #include "cliquemap/types.h"
 #include "sim/time.h"
 
@@ -55,13 +56,17 @@ struct CachedLocation {
   sim::Time expires_at = 0;
 };
 
+// Location-cache counters, exported as cm.client.loccache.<field>{client=...}.
+#define CM_LOCCACHE_STATS(X)                                             \
+  X(hits)           /* Lookup found a (not-yet-revalidated) entry */     \
+  X(misses)         /* Lookup found nothing */                           \
+  X(insertions)     /* new entries (updates of live entries excluded) */ \
+  X(invalidations)  /* entries dropped: explicit, shard flush, epoch */  \
+  X(evictions)      /* entries dropped by the LRU cap */                 \
+  X(expirations)    /* entries dropped by the freshness lease */
+
 struct LocCacheStats {
-  int64_t hits = 0;           // Lookup found a (not-yet-revalidated) entry
-  int64_t misses = 0;         // Lookup found nothing
-  int64_t insertions = 0;     // new entries (updates of live entries excluded)
-  int64_t invalidations = 0;  // entries dropped: explicit, shard flush, epoch
-  int64_t evictions = 0;      // entries dropped by the LRU cap
-  int64_t expirations = 0;    // entries dropped by the freshness lease
+  CM_METRICS_COUNTERS(LocCacheStats, CM_LOCCACHE_STATS)
 };
 
 // Bounded LRU map KeyHash -> CachedLocation. Single-owner (per client), no
@@ -102,9 +107,6 @@ class LocationCache {
   size_t size() const { return map_.size(); }
   size_t capacity() const { return capacity_; }
   const LocCacheStats& stats() const { return stats_; }
-  // Exported-slot storage for ExportGroup (counters are sampled via
-  // int64_t* at snapshot time).
-  LocCacheStats* mutable_stats() { return &stats_; }
 
  private:
   struct Node {

@@ -178,13 +178,7 @@ void AdmissionQueue::ExportTenant(PerTenant& t) {
   metrics::Labels l = base_labels_;
   l.emplace_back("tenant", t.spec.name.empty() ? std::to_string(t.spec.id)
                                                : t.spec.name);
-  exports_.ExportCounter("cm.tenant.admitted", l, &t.admitted);
-  exports_.ExportCounter("cm.tenant.queued", l, &t.queued);
-  exports_.ExportCounter("cm.tenant.shed", l, &t.shed);
-  exports_.ExportCounter("cm.tenant.rpc_bytes", l, &t.rpc_bytes);
-  exports_.ExportCounter("cm.tenant.read_index_bytes", l,
-                         &t.read_index_bytes);
-  exports_.ExportCounter("cm.tenant.read_data_bytes", l, &t.read_data_bytes);
+  metrics::ExportCounters(exports_, "cm.tenant.", l, t.stats);
 }
 
 void AdmissionQueue::Configure(const TenantRegistry& reg) {
@@ -212,11 +206,11 @@ sim::Task<Status> AdmissionQueue::Admit(TenantId id, uint64_t bytes) {
   // Quota shedding is unconditional — it applies even on an idle backend.
   if (!t.ops.TryAcquire(now, 1.0) ||
       !t.bytes.TryAcquire(now, double(bytes))) {
-    ++t.shed;
+    ++t.stats.shed;
     ++total_shed_;
     co_return ResourceExhaustedError("tenant rpc quota exceeded");
   }
-  t.rpc_bytes += int64_t(bytes);
+  t.stats.rpc_bytes += int64_t(bytes);
   const double cost = Cost(bytes) / std::max(t.spec.wfq_weight, 1e-9);
   const double start = std::max(vtime_, t.last_finish);
   const double vft = start + cost;
@@ -225,7 +219,7 @@ sim::Task<Status> AdmissionQueue::Admit(TenantId id, uint64_t bytes) {
     t.last_finish = vft;
     vtime_ = std::max(vtime_, vft);
     ++in_flight_;
-    ++t.admitted;
+    ++t.stats.admitted;
     ++total_admitted_;
     co_return OkStatus();
   }
@@ -257,14 +251,14 @@ sim::Task<Status> AdmissionQueue::Admit(TenantId id, uint64_t bytes) {
     if (displace) {
       ShedWaiter(weakest);
     } else {
-      ++t.shed;
+      ++t.stats.shed;
       ++total_shed_;
       co_return ResourceExhaustedError("admission queue full");
     }
   }
 
   t.last_finish = vft;
-  ++t.queued;
+  ++t.stats.queued;
   ++total_queued_;
   Waiter w{seq_++, id, start, vft, uint8_t(t.spec.priority),
            sim::OneShot<Status>(sim_)};
@@ -282,7 +276,7 @@ void AdmissionQueue::ShedWaiter(size_t idx) {
   // that never dispatched must not advance the clock, or a tenant under
   // sustained pushout inflates its own vfts and starves below its share.
   t.last_finish = std::min(t.last_finish, w.vst);
-  ++t.shed;
+  ++t.stats.shed;
   ++total_shed_;
   w.signal.Set(ResourceExhaustedError("shed under overload"));
 }
@@ -302,7 +296,7 @@ void AdmissionQueue::Dispatch() {
     vtime_ = std::max(vtime_, w.vft);
     ++in_flight_;
     PerTenant& t = Slot(w.tenant);
-    ++t.admitted;
+    ++t.stats.admitted;
     ++total_admitted_;
     w.signal.Set(OkStatus());
   }
@@ -316,18 +310,18 @@ void AdmissionQueue::Release() {
 void AdmissionQueue::AccountReadBytes(TenantId id, uint64_t index_bytes,
                                       uint64_t data_bytes) {
   PerTenant& t = Slot(id);
-  t.read_index_bytes += int64_t(index_bytes);
-  t.read_data_bytes += int64_t(data_bytes);
+  t.stats.read_index_bytes += int64_t(index_bytes);
+  t.stats.read_data_bytes += int64_t(data_bytes);
 }
 
 int64_t AdmissionQueue::admitted(TenantId id) const {
   const PerTenant* t = FindSlot(id);
-  return t ? t->admitted : 0;
+  return t ? t->stats.admitted : 0;
 }
 
 int64_t AdmissionQueue::shed(TenantId id) const {
   const PerTenant* t = FindSlot(id);
-  return t ? t->shed : 0;
+  return t ? t->stats.shed : 0;
 }
 
 const TenantSpec* AdmissionQueue::spec(TenantId id) const {

@@ -117,6 +117,20 @@ class TokenBucket {
   sim::Time last_ = 0;
 };
 
+// Per-tenant admission counters, exported as
+// cm.tenant.<field>{host=...,tenant=...}.
+#define CM_TENANT_ADMISSION_STATS(X)    \
+  X(admitted)                           \
+  X(queued)                             \
+  X(shed)                               \
+  X(rpc_bytes)                          \
+  X(read_index_bytes)                   \
+  X(read_data_bytes)
+
+struct TenantAdmissionStats {
+  CM_METRICS_COUNTERS(TenantAdmissionStats, CM_TENANT_ADMISSION_STATS)
+};
+
 // Weighted-fair admission in front of backend RPC dispatch.
 //
 // Quota shedding (token buckets) happens first and is unconditional: a
@@ -164,12 +178,7 @@ class AdmissionQueue {
     TokenBucket ops;
     TokenBucket bytes;
     double last_finish = 0;  // WFQ virtual time
-    int64_t admitted = 0;
-    int64_t queued = 0;
-    int64_t shed = 0;
-    int64_t rpc_bytes = 0;
-    int64_t read_index_bytes = 0;
-    int64_t read_data_bytes = 0;
+    TenantAdmissionStats stats;
   };
   struct Waiter {
     uint64_t seq = 0;

@@ -8,10 +8,13 @@
 //    (`c->Inc()`), never a name lookup.
 //  * Exported slots (ExportCounter/ExportGauge/ExportHistogram) bind an
 //    *existing* `int64_t` field, callback, or `cm::Histogram` into the
-//    registry under a name. This is how the legacy `*Stats` structs
-//    (ClientStats, RmaStats, FaultStats, ...) are migrated: the struct field
-//    stays the storage — `++stats_.gets` IS the pre-resolved handle — and the
-//    registry only reads it at snapshot time. No parallel recording system.
+//    registry under a name. The struct field stays the storage —
+//    `++stats_.gets` IS the pre-resolved handle — and the registry only
+//    reads it at snapshot time. No parallel recording system.
+//
+// The component stats structs (ClientStats, BackendStats, RmaStats, ...)
+// declare their counters once, in a field table (CM_METRICS_COUNTERS below)
+// that generates the fields, their exports and their field-wise sum.
 //
 // Components bundle their exports in an ExportGroup so destruction
 // deregisters everything they published (clients and backends die before the
@@ -182,6 +185,47 @@ class ExportGroup {
   uint64_t owner_ = 0;
   std::vector<std::string> names_;
 };
+
+// Counter field tables. A stats struct lists its counters once, as an
+// X-macro table, one line per counter with its help text as a /* comment */:
+//
+//   #define CM_FOO_STATS(X) X(reads) /* ops issued */ X(bytes, "bytes.read")
+//   struct FooStats {
+//     CM_METRICS_COUNTERS(FooStats, CM_FOO_STATS)
+//   };
+//   ExportCounters(group, "cm.foo.", labels, stats);  // cm.foo.reads{...}
+//
+// X(field) names the metric <prefix><field>; X(field, "name") names it
+// <prefix><name>; X(field, nullptr) leaves the export to the owner.
+// CM_METRICS_COUNTERS expands the table into zero-initialised `int64_t`
+// fields in table order, a field-wise `operator+=`, and ForEachCounter,
+// which calls f(metric name or nullptr, &field) for each counter in order.
+#define CM_METRICS_COUNTERS(Struct, TABLE)                        \
+  TABLE(CM_METRICS_FIELD_)                                        \
+  Struct& operator+=(const Struct& o) {                           \
+    TABLE(CM_METRICS_ADD_)                                        \
+    return *this;                                                 \
+  }                                                               \
+  template <typename F>                                           \
+  void ForEachCounter(F&& f) const {                              \
+    TABLE(CM_METRICS_VISIT_)                                      \
+  }
+#define CM_METRICS_FIELD_(field, ...) int64_t field = 0;
+#define CM_METRICS_ADD_(field, ...) field += o.field;
+#define CM_METRICS_VISIT_(field, ...) \
+  f(CM_METRICS_FIRST_(__VA_ARGS__ __VA_OPT__(, ) #field), &field);
+#define CM_METRICS_FIRST_(first, ...) first
+
+// Exports every named counter of `stats` into `group` as <prefix><name>.
+template <typename Stats>
+void ExportCounters(ExportGroup& group, std::string_view prefix,
+                    const Labels& labels, const Stats& stats) {
+  stats.ForEachCounter([&](const char* name, const int64_t* slot) {
+    if (name != nullptr) {
+      group.ExportCounter(std::string(prefix) + name, labels, slot);
+    }
+  });
+}
 
 }  // namespace cm::metrics
 

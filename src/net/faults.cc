@@ -196,14 +196,7 @@ std::string FaultPlan::Summary() const {
 void FaultPlan::BindMetrics(metrics::Registry* registry) {
   exports_.Bind(registry);
   if (registry == nullptr) return;
-  exports_.ExportCounter("cm.faults.messages", {}, &stats_.messages);
-  exports_.ExportCounter("cm.faults.drops", {}, &stats_.drops);
-  exports_.ExportCounter("cm.faults.corruptions", {}, &stats_.corruptions);
-  exports_.ExportCounter("cm.faults.duplicates", {}, &stats_.duplicates);
-  exports_.ExportCounter("cm.faults.delays", {}, &stats_.delays);
-  exports_.ExportCounter("cm.faults.partition_blocks", {},
-                         &stats_.partition_blocks);
-  exports_.ExportCounter("cm.faults.pause_stalls", {}, &stats_.pause_stalls);
+  metrics::ExportCounters(exports_, "cm.faults.", {}, stats_);
   exports_.ExportCounter("cm.faults.trace_events", {}, &trace_events_);
   exports_.ExportGauge("cm.faults.fingerprint", {}, [this] {
     return static_cast<int64_t>(fingerprint_);

@@ -63,14 +63,18 @@ struct MessageFate {
   sim::Duration extra_delay = 0;
 };
 
+// Fault-injection counters, exported as cm.faults.<field>.
+#define CM_FAULT_STATS(X)                                         \
+  X(messages)          /* rolls performed */                      \
+  X(drops)                                                        \
+  X(corruptions)                                                  \
+  X(duplicates)                                                   \
+  X(delays)                                                       \
+  X(partition_blocks)  /* messages blocked by a partition rule */ \
+  X(pause_stalls)      /* transfers stalled by a host pause */
+
 struct FaultStats {
-  int64_t messages = 0;          // rolls performed
-  int64_t drops = 0;
-  int64_t corruptions = 0;
-  int64_t duplicates = 0;
-  int64_t delays = 0;
-  int64_t partition_blocks = 0;  // messages blocked by a partition rule
-  int64_t pause_stalls = 0;      // transfers stalled by a host pause
+  CM_METRICS_COUNTERS(FaultStats, CM_FAULT_STATS)
 };
 
 // A scheduled backend crash/restart; the plan only records the schedule —

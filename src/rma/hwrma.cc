@@ -9,16 +9,7 @@ HwRmaTransport::HwRmaTransport(net::Fabric& fabric, RmaNetwork& rma_network,
       config_(config),
       exports_(&fabric.metrics()) {
   const metrics::Labels l = {{"transport", "hw"}};
-  exports_.ExportCounter("cm.rma.reads", l, &stats_.reads);
-  exports_.ExportCounter("cm.rma.vector_reads", l, &stats_.vector_reads);
-  exports_.ExportCounter("cm.rma.vector_entries", l, &stats_.vector_entries);
-  exports_.ExportCounter("cm.rma.failed_ops", l, &stats_.failed_ops);
-  exports_.ExportCounter("cm.rma.op_timeouts", l, &stats_.op_timeouts);
-  exports_.ExportCounter("cm.rma.corrupt_deliveries", l,
-                         &stats_.corrupt_deliveries);
-  exports_.ExportCounter("cm.rma.initiator_nic_ns", l,
-                         &stats_.initiator_nic_ns);
-  exports_.ExportCounter("cm.rma.target_nic_ns", l, &stats_.target_nic_ns);
+  metrics::ExportCounters(exports_, "cm.rma.", l, stats_);
   exports_.ExportHistogram("cm.rma.hw_timestamps_ns", l, &hw_timestamps_);
 }
 

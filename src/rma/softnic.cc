@@ -44,23 +44,11 @@ SoftNicTransport::SoftNicTransport(net::Fabric& fabric,
       rma_network_(rma_network),
       config_(config),
       exports_(&fabric.metrics()) {
-  // Migrate RmaStats into the registry: the struct fields stay the storage,
-  // the registry reads them at snapshot time. A later transport on the same
-  // fabric rebinds the names (latest wins).
+  // The struct fields stay the storage; the registry reads them at snapshot
+  // time. A later transport on the same fabric rebinds the names (latest
+  // wins).
   const metrics::Labels l = {{"transport", "softnic"}};
-  exports_.ExportCounter("cm.rma.reads", l, &stats_.reads);
-  exports_.ExportCounter("cm.rma.scars", l, &stats_.scars);
-  exports_.ExportCounter("cm.rma.messages", l, &stats_.messages);
-  exports_.ExportCounter("cm.rma.vector_reads", l, &stats_.vector_reads);
-  exports_.ExportCounter("cm.rma.vector_scars", l, &stats_.vector_scars);
-  exports_.ExportCounter("cm.rma.vector_entries", l, &stats_.vector_entries);
-  exports_.ExportCounter("cm.rma.failed_ops", l, &stats_.failed_ops);
-  exports_.ExportCounter("cm.rma.op_timeouts", l, &stats_.op_timeouts);
-  exports_.ExportCounter("cm.rma.corrupt_deliveries", l,
-                         &stats_.corrupt_deliveries);
-  exports_.ExportCounter("cm.rma.initiator_nic_ns", l,
-                         &stats_.initiator_nic_ns);
-  exports_.ExportCounter("cm.rma.target_nic_ns", l, &stats_.target_nic_ns);
+  metrics::ExportCounters(exports_, "cm.rma.", l, stats_);
 }
 
 EngineGroup& SoftNicTransport::engines(net::HostId host) {

@@ -15,6 +15,7 @@
 
 #include "common/buffer.h"
 #include "common/bytes.h"
+#include "common/metrics.h"
 #include "common/status.h"
 #include "net/fabric.h"
 #include "rma/memory.h"
@@ -86,25 +87,29 @@ struct ScarVEntry {
   uint64_t hash_lo = 0;
 };
 
+// Transport counters, exported as cm.rma.<field>{transport=...}.
+#define CM_RMA_STATS(X)                                                    \
+  X(reads)                                                                 \
+  X(scars)                                                                 \
+  X(messages)                                                              \
+  /* Vectored ops (batched MultiGet): one doorbell/completion covering     \
+     vector_entries individual reads or scans. */                          \
+  X(vector_reads)                                                          \
+  X(vector_scars)                                                          \
+  X(vector_entries)                                                        \
+  X(failed_ops)                                                            \
+  /* Fault-injection visibility: ops whose command/completion was lost and \
+     completed only by op_timeout, and payloads delivered with a bit flip  \
+     (which only client-side validation can catch). */                     \
+  X(op_timeouts)                                                           \
+  X(corrupt_deliveries)                                                    \
+  /* NIC-level processing time consumed (software engines or hardware      \
+     pipeline), split by side. Figs 6b/7 report CPU-per-op from these. */  \
+  X(initiator_nic_ns)                                                      \
+  X(target_nic_ns)
+
 struct RmaStats {
-  int64_t reads = 0;
-  int64_t scars = 0;
-  int64_t messages = 0;
-  // Vectored ops (batched MultiGet): one doorbell/completion covering
-  // vector_entries individual reads or scans.
-  int64_t vector_reads = 0;
-  int64_t vector_scars = 0;
-  int64_t vector_entries = 0;
-  int64_t failed_ops = 0;
-  // Fault-injection visibility: ops whose command/completion was lost and
-  // completed only by op_timeout, and payloads delivered with a bit flip
-  // (which only client-side validation can catch).
-  int64_t op_timeouts = 0;
-  int64_t corrupt_deliveries = 0;
-  // NIC-level processing time consumed (software engines or hardware
-  // pipeline), split by side. Figs 6b/7 report CPU-per-op from these.
-  int64_t initiator_nic_ns = 0;
-  int64_t target_nic_ns = 0;
+  CM_METRICS_COUNTERS(RmaStats, CM_RMA_STATS)
 };
 
 class RmaTransport {

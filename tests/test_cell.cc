@@ -2,7 +2,14 @@
 // transports, and the config service.
 #include <gtest/gtest.h>
 
+#include <regex>
+#include <set>
+
 #include "cliquemap/cell.h"
+#include "cliquemap/doctor.h"
+#include "cliquemap/proto.h"
+#include "net/faults.h"
+#include "rpc/rpc.h"
 
 namespace cm::cliquemap {
 namespace {
@@ -377,6 +384,64 @@ TEST(CellStats, TornReadCountersStartAtZeroAndGetsAreCheap) {
   EXPECT_EQ(client->stats().hits, 101);  // warm-up GET + 100 measured
 }
 
+// (metric name, value) of every BackendStats counter, in table order.
+std::vector<std::pair<std::string, int64_t>> Counters(const BackendStats& s) {
+  std::vector<std::pair<std::string, int64_t>> out;
+  s.ForEachCounter([&](const char* name, const int64_t* slot) {
+    out.emplace_back(name, *slot);
+  });
+  return out;
+}
+
+// The cell-wide view sums every BackendStats counter over the live
+// backends, the spares and the retired backends — including the batched-RPC
+// and lease counters, which a hand-written field-by-field sum once dropped.
+TEST(CellStats, AggregateBackendStatsSumsEveryCounter) {
+  sim::Simulator sim;
+  CellOptions o = SmallCell(ReplicationMode::kR32, TransportKind::kSoftNic);
+  o.num_spares = 1;
+  Cell cell(sim, std::move(o));
+  cell.Start();
+  Client* client = cell.AddClient();
+  ASSERT_TRUE(RunOp(sim, client->Connect()).ok());
+  ASSERT_TRUE(RunOp(sim, client->Set("a", ToBytes("1"))).ok());
+  const net::HostId from = cell.fabric().AddHost(cell.options().client_host);
+  rpc::RpcChannel ch(cell.rpc_network(), from, cell.backend(0).host());
+  const std::string_view keys[] = {"a", "b"};
+  ASSERT_TRUE(RunOp(sim, ch.Call(proto::kMethodMultiGet,
+                                 proto::GetRequest(keys, 0), sim::Seconds(1)))
+                  .ok());
+
+  for (uint32_t s = 0; s < cell.num_shards(); ++s) {
+    cell.backend(s).StartHeartbeats(sim::Milliseconds(5));
+  }
+  sim.RunUntil(sim.now() + sim::Milliseconds(20));
+  for (uint32_t s = 0; s < cell.num_shards(); ++s) {
+    cell.backend(s).StopHeartbeats();
+  }
+  sim.Run();
+  cell.RetireShardsAbove(cell.num_shards() - 1);
+
+  std::vector<const Backend*> all = {&cell.spare(0)};
+  for (uint32_t s = 0; s < cell.num_shards(); ++s) {
+    all.push_back(&cell.backend(s));
+  }
+  for (const auto& r : cell.retired()) all.push_back(r.get());
+  ASSERT_EQ(all.size(), 5u);
+
+  const BackendStats agg = cell.AggregateBackendStats();
+  EXPECT_GT(agg.heartbeats_sent, 0);
+  EXPECT_GT(agg.rpc_multigets, 0);
+  auto want = Counters(BackendStats{});
+  for (const Backend* b : all) {
+    const auto counters = Counters(b->stats());
+    for (size_t i = 0; i < want.size(); ++i) {
+      want[i].second += counters[i].second;
+    }
+  }
+  EXPECT_EQ(Counters(agg), want);
+}
+
 // ---------------------------------------------------------------------------
 // Zero-copy GET path (DESIGN.md §10)
 // ---------------------------------------------------------------------------
@@ -418,6 +483,239 @@ TEST(ZeroCopyGetPath, ValueBytesAreMaterializedAtMostOnce) {
   // as cm.net.bytes_copied.
   EXPECT_EQ(cell.fabric().metrics().TakeSnapshot().value("cm.net.bytes_copied"),
             BufferStats::bytes_copied());
+}
+
+// ---------------------------------------------------------------------------
+// Registry exports (DESIGN.md §9)
+// ---------------------------------------------------------------------------
+
+// Every metric name a canonical deployment registers, with numeric label
+// values (host, client and tenant ids) replaced by `*`. Benches and
+// perfbench read these names; a misspelt export would silently read 0.
+const char* const kGoldenMetricNames[] = {
+    "cm.backend.bulk_installed{host=*}",
+    "cm.backend.bump_versions{host=*}",
+    "cm.backend.cas_applied{host=*}",
+    "cm.backend.cas_failed{host=*}",
+    "cm.backend.data_grows{host=*}",
+    "cm.backend.data_used_bytes{host=*}",
+    "cm.backend.degraded_gets_served{host=*}",
+    "cm.backend.draining_rejects{host=*}",
+    "cm.backend.entries_dropped{host=*}",
+    "cm.backend.erases_applied{host=*}",
+    "cm.backend.evictions_assoc{host=*}",
+    "cm.backend.evictions_capacity{host=*}",
+    "cm.backend.evictions_tenant{host=*}",
+    "cm.backend.heartbeat_failures{host=*}",
+    "cm.backend.heartbeats_sent{host=*}",
+    "cm.backend.index_resizes{host=*}",
+    "cm.backend.live_entries{host=*}",
+    "cm.backend.memory_footprint_bytes{host=*}",
+    "cm.backend.overflow_inserts{host=*}",
+    "cm.backend.repair_pull_failures{host=*}",
+    "cm.backend.repair_pulls_sent{host=*}",
+    "cm.backend.repair_pulls_served{host=*}",
+    "cm.backend.repair_scans{host=*}",
+    "cm.backend.repairs_issued{host=*}",
+    "cm.backend.rpc_gets{host=*}",
+    "cm.backend.rpc_multiget_keys{host=*}",
+    "cm.backend.rpc_multigets{host=*}",
+    "cm.backend.self_fences{host=*}",
+    "cm.backend.sets_applied{host=*}",
+    "cm.backend.sets_rejected_stale{host=*}",
+    "cm.backend.stale_generation_rejects{host=*}",
+    "cm.backend.tenant_sheds{host=*}",
+    "cm.backend.touches_ingested{host=*}",
+    "cm.backend.unfences{host=*}",
+    "cm.client.backoff_events{client=*}",
+    "cm.client.backoff_ns{client=*}",
+    "cm.client.batch.inflight_waits{client=*}",
+    "cm.client.batch.keys{client=*}",
+    "cm.client.batch.rpc_fallbacks{client=*}",
+    "cm.client.batch.slowpath_keys{client=*}",
+    "cm.client.batch.vector_entries{client=*}",
+    "cm.client.batch.vector_ops{client=*}",
+    "cm.client.budget_exhausted{client=*}",
+    "cm.client.cas_ops{client=*}",
+    "cm.client.compress_bytes_in{client=*}",
+    "cm.client.compress_bytes_out{client=*}",
+    "cm.client.config_refreshes{client=*}",
+    "cm.client.degraded.attempts{client=*}",
+    "cm.client.degraded.hits{client=*}",
+    "cm.client.degraded.misses{client=*}",
+    "cm.client.degraded.rollback_refused{client=*}",
+    "cm.client.degraded.unreachable{client=*}",
+    "cm.client.erases{client=*}",
+    "cm.client.get_errors{client=*}",
+    "cm.client.get_latency_ns{client=*}",
+    "cm.client.gets{client=*}",
+    "cm.client.hedge_wins{client=*}",
+    "cm.client.hedged_reads{client=*}",
+    "cm.client.hits{client=*}",
+    "cm.client.inquorate{client=*}",
+    "cm.client.issue_cpu_ns{client=*}",
+    "cm.client.loccache.entries{client=*}",
+    "cm.client.loccache.evictions{client=*}",
+    "cm.client.loccache.expirations{client=*}",
+    "cm.client.loccache.hits{client=*}",
+    "cm.client.loccache.insertions{client=*}",
+    "cm.client.loccache.invalidations{client=*}",
+    "cm.client.loccache.misses{client=*}",
+    "cm.client.loccache.speculative_failures{client=*}",
+    "cm.client.loccache.speculative_reads{client=*}",
+    "cm.client.loccache.success_ratio_pct{client=*}",
+    "cm.client.misses{client=*}",
+    "cm.client.multigets{client=*}",
+    "cm.client.op_timeouts{client=*}",
+    "cm.client.preferred_mismatch{client=*}",
+    "cm.client.prev_window_gets{client=*}",
+    "cm.client.retries{client=*}",
+    "cm.client.rpc_fallback_gets{client=*}",
+    "cm.client.set_errors{client=*}",
+    "cm.client.set_latency_ns{client=*}",
+    "cm.client.sets{client=*}",
+    "cm.client.slow_ejections{client=*}",
+    "cm.client.stale_generation_rejects{client=*}",
+    "cm.client.torn_reads{client=*}",
+    "cm.client.touch_rpcs{client=*}",
+    "cm.client.validate_cpu_ns{client=*}",
+    "cm.client.window_errors{client=*}",
+    "cm.config.domain_spread_violations",
+    "cm.config.generation",
+    "cm.config.heartbeats_served",
+    "cm.config.leases_expired",
+    "cm.config.leases_granted",
+    "cm.config.membership_epoch",
+    "cm.doctor.active_recoveries",
+    "cm.doctor.dead_transitions",
+    "cm.doctor.detect_ns",
+    "cm.doctor.domain_down_cleared",
+    "cm.doctor.domain_down_events",
+    "cm.doctor.down_replications",
+    "cm.doctor.flap_suppressed",
+    "cm.doctor.leases_expired",
+    "cm.doctor.majority_dead_holds",
+    "cm.doctor.majority_hold",
+    "cm.doctor.mttr_ns",
+    "cm.doctor.probe_failures",
+    "cm.doctor.probes",
+    "cm.doctor.recoveries_deferred",
+    "cm.doctor.recoveries_failed",
+    "cm.doctor.recoveries_started",
+    "cm.doctor.recoveries_succeeded",
+    "cm.doctor.slow_transitions",
+    "cm.doctor.suspect_transitions",
+    "cm.fabric.transfers",
+    "cm.fabric.wire_bytes",
+    "cm.faults.corruptions",
+    "cm.faults.delays",
+    "cm.faults.drops",
+    "cm.faults.duplicates",
+    "cm.faults.fingerprint",
+    "cm.faults.messages",
+    "cm.faults.partition_blocks",
+    "cm.faults.pause_stalls",
+    "cm.faults.trace_events",
+    "cm.host.cpu_busy_ns{host=*}",
+    "cm.host.rx_bytes{host=*}",
+    "cm.host.tx_bytes{host=*}",
+    "cm.net.bytes_copied",
+    "cm.rma.active_engines{host=*,transport=softnic}",
+    "cm.rma.corrupt_deliveries{transport=hw}",
+    "cm.rma.corrupt_deliveries{transport=softnic}",
+    "cm.rma.engine_busy_ns{host=*,transport=softnic}",
+    "cm.rma.failed_ops{transport=hw}",
+    "cm.rma.failed_ops{transport=softnic}",
+    "cm.rma.hw_timestamps_ns{transport=hw}",
+    "cm.rma.initiator_nic_ns{transport=hw}",
+    "cm.rma.initiator_nic_ns{transport=softnic}",
+    "cm.rma.messages{transport=hw}",
+    "cm.rma.messages{transport=softnic}",
+    "cm.rma.op_timeouts{transport=hw}",
+    "cm.rma.op_timeouts{transport=softnic}",
+    "cm.rma.reads{transport=hw}",
+    "cm.rma.reads{transport=softnic}",
+    "cm.rma.scars{transport=hw}",
+    "cm.rma.scars{transport=softnic}",
+    "cm.rma.target_nic_ns{transport=hw}",
+    "cm.rma.target_nic_ns{transport=softnic}",
+    "cm.rma.vector_entries{transport=hw}",
+    "cm.rma.vector_entries{transport=softnic}",
+    "cm.rma.vector_reads{transport=hw}",
+    "cm.rma.vector_reads{transport=softnic}",
+    "cm.rma.vector_scars{transport=hw}",
+    "cm.rma.vector_scars{transport=softnic}",
+    "cm.rpc.call_errors",
+    "cm.rpc.calls",
+    "cm.rpc.server_bytes{host=*}",
+    "cm.rpc.server_calls{host=*}",
+    "cm.sim.post_in_past",
+    "cm.tenant.admitted{host=*,tenant=*}",
+    "cm.tenant.admitted{host=*,tenant=ads}",
+    "cm.tenant.queued{host=*,tenant=*}",
+    "cm.tenant.queued{host=*,tenant=ads}",
+    "cm.tenant.read_data_bytes{host=*,tenant=*}",
+    "cm.tenant.read_data_bytes{host=*,tenant=ads}",
+    "cm.tenant.read_index_bytes{host=*,tenant=*}",
+    "cm.tenant.read_index_bytes{host=*,tenant=ads}",
+    "cm.tenant.rma_bytes{client=*,tenant=*}",
+    "cm.tenant.rpc_bytes{host=*,tenant=*}",
+    "cm.tenant.rpc_bytes{host=*,tenant=ads}",
+    "cm.tenant.shed{client=*,tenant=*}",
+    "cm.tenant.shed{host=*,tenant=*}",
+    "cm.tenant.shed{host=*,tenant=ads}",
+};
+
+std::set<std::string> NormalisedNames(const metrics::Registry& registry) {
+  static const std::regex kNumericLabel("=[0-9]+([,}])");
+  std::set<std::string> names;
+  for (const auto& [name, metric] : registry.TakeSnapshot().metrics) {
+    names.insert(std::regex_replace(name, kNumericLabel, "=*$1"));
+  }
+  return names;
+}
+
+// Connects `client` and runs one SET and one GET through it.
+void SetAndGet(sim::Simulator& sim, Client* client) {
+  ASSERT_TRUE(RunOp(sim, client->Connect()).ok());
+  ASSERT_TRUE(RunOp(sim, client->Set("golden", ToBytes("v"))).ok());
+  ASSERT_TRUE(RunOp(sim, client->Get("golden")).ok());
+}
+
+TEST(CellMetrics, RegisteredNamesMatchGoldenList) {
+  std::set<std::string> names;
+  {  // SoftNIC cell: a default and a tenanted client, a doctor, a fault plan.
+    sim::Simulator sim;
+    CellOptions o = SmallCell(ReplicationMode::kR32, TransportKind::kSoftNic);
+    TenantSpec ads;
+    ads.id = 7;
+    ads.name = "ads";
+    o.tenants.Upsert(ads);
+    Cell cell(sim, std::move(o));
+    cell.Start();
+    CellDoctor doctor(cell);
+    cell.fabric().InstallFaults(std::make_shared<net::FaultPlan>(1));
+    SetAndGet(sim, cell.AddClient());
+    ClientConfig tenanted;
+    tenanted.tenant = 7;
+    SetAndGet(sim, cell.AddClient(tenanted));
+    names.merge(NormalisedNames(cell.metrics()));
+  }
+  {  // Hardware RMA cell.
+    sim::Simulator sim;
+    Cell cell(sim, SmallCell(ReplicationMode::kR32, TransportKind::kOneRma));
+    cell.Start();
+    SetAndGet(sim, cell.AddClient());
+    names.merge(NormalisedNames(cell.metrics()));
+  }
+  const std::set<std::string> golden(std::begin(kGoldenMetricNames),
+                                     std::end(kGoldenMetricNames));
+  for (const std::string& n : names) {
+    EXPECT_TRUE(golden.count(n)) << "unexpected metric: " << n;
+  }
+  for (const std::string& n : golden) {
+    EXPECT_TRUE(names.count(n)) << "missing metric: " << n;
+  }
 }
 
 }  // namespace

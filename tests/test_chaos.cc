@@ -276,19 +276,7 @@ ChaosOutcome RunChaos(uint64_t seed, bool trace = true) {
                                              std::to_string(present));
   }
 
-  for (const Client* c : clients) {
-    const ClientStats& s = c->stats();
-    out.clients.gets += s.gets;
-    out.clients.hits += s.hits;
-    out.clients.misses += s.misses;
-    out.clients.get_errors += s.get_errors;
-    out.clients.retries += s.retries;
-    out.clients.torn_reads += s.torn_reads;
-    out.clients.inquorate += s.inquorate;
-    out.clients.op_timeouts += s.op_timeouts;
-    out.clients.backoff_events += s.backoff_events;
-    out.clients.budget_exhausted += s.budget_exhausted;
-  }
+  for (const Client* c : clients) out.clients += c->stats();
   out.rma = cell.transport()->stats();
   out.backends = cell.AggregateBackendStats();
   return out;
