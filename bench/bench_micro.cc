@@ -44,6 +44,17 @@ void BM_Crc32c(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32c)->Arg(64)->Arg(4096)->Arg(65536);
 
+// The slicing-by-8 kernel that BM_Crc32c runs on CPUs without SSE4.2.
+void BM_Crc32cPortable(benchmark::State& state) {
+  std::vector<uint8_t> data(size_t(state.range(0)), 0xAB);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        crc32c_internal::ExtendPortable(0, data.data(), data.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32cPortable)->Arg(64)->Arg(4096)->Arg(65536);
+
 void BM_EncodeDataEntry(benchmark::State& state) {
   const std::string key = "bench-key";
   Bytes value(size_t(state.range(0)), std::byte{1});

@@ -2,8 +2,8 @@
 # One-command gate: tier-1 build + tests, the perf gates and the sim-time
 # bench pins, then a sanitizer build running the fault-injection (chaos),
 # elasticity (resharding), self-healing (health), wire-codec (proto),
-# backend residency (backend) and registry-export (metrics) suites, among
-# others.
+# backend residency (backend), registry-export (metrics) and CRC/codec
+# (codec) suites, among others.
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast  skip the sanitizer stage (tier-1 only)
@@ -60,39 +60,12 @@ done
   | "$JQ" -e '.scalars["scar.issue_ns_per_op"] > 0 and (.metrics.scar.schema == "cm.metrics.v1")' >/dev/null \
   || { echo "fig07 --json: missing registry attribution"; exit 1; }
 
-echo "== perf gate: simulator-core + self-healing scalars vs baselines =="
+echo "== perf gate: simulator-core wall-clock scalars vs baseline =="
 # Warns past 1.3x drift (noise/minor regressions stay non-fatal); fails the
-# gate only past 2x — a real scheduler or payload-path regression. fig14
-# gates only its health scalars (detection latency, MTTR, hedge efficacy);
-# its throughput figures are workload-shaped and too noisy to gate.
-scripts/perf_gate.sh simcore 'fig14_unplanned_maint:^(doctor|hedge)\.'
-
-echo "== perf gate: tenant isolation scalars vs baseline =="
-# Gates only the dimensionless QoS outcomes: the victim's isolated-p99
-# degradation ratio and the (floored) WFQ share error. Raw latencies are
-# cost-model shaped and drift with unrelated tuning.
-scripts/perf_gate.sh 'tenant_isolation:^(victim\.p99_degradation_ratio|fairness\.share_err_floor)$'
-
-echo "== perf gate: batched MultiGet scalars vs baseline =="
-# Gates the two batching outcomes (both lower-is-better): the batched/naive
-# p99 ratio (must stay well under 1) and RMA ops per requested key (the
-# coalescing win). The bench's workload-shaped w*.p99 figures are too noisy
-# to gate; the entries-per-op coalesce ratio is informational only.
-scripts/perf_gate.sh 'fig08_ads:^batchcmp\.(batched_over_naive_p99|rma_ops_per_key_batched)$'
-
-echo "== perf gate: 1-RMA speculative-path scalars vs baseline =="
-# Gates the three speculation outcomes: the hot-key p50 ratio spec/quorum
-# (must stay well under 1 — the 1-RMA latency win), RMA ops per hit-GET
-# (~1: one direct read, re-quorums amortized), and the speculation success
-# ratio (higher is better; a drop means cached pointers went mostly stale).
-scripts/perf_gate.sh 'fig16_17_1rma_ramp:^(fig16_17\.speculative_p50_over_quorum_p50|loccache\.(rma_ops_per_hit_get|speculation_success_ratio))$'
-
-echo "== perf gate: domain-outage survival scalars vs baseline =="
-# Gates the two survival outcomes (both lower-is-better): the availability
-# dip with degraded reads on (deepest post-outage window vs pre-outage
-# median) and the time for the doctor to rebuild the lost domain back to
-# full quorum. The fail-fast/spread contrast scalars are informational.
-scripts/perf_gate.sh 'domain_outage:^(availability_dip_frac|time_to_quorum_ms)$'
+# gate only past 2x — a real scheduler or payload-path regression. Only
+# bench_simcore is ratio-gated: its scalars are wall-clock. Every gated
+# sim-time scalar is an exact pin in the next stage instead.
+scripts/perf_gate.sh simcore
 
 echo "== sim pins: sim-time bench scalars equal the committed baselines =="
 # Simulated time is deterministic, so a refactor that claims no behaviour
@@ -103,12 +76,17 @@ echo "== sim pins: sim-time bench scalars equal the committed baselines =="
 # DropNonOwned and the backend mutation paths. bench_fig07_cpu_per_op
 # derives its scalars only from registry snapshot deltas, so it also pins
 # the exported metric names; bench_ablation_eviction reads
-# Cell::AggregateBackendStats.
+# Cell::AggregateBackendStats. bench_fig08_ads (batched vs naive MultiGet),
+# bench_fig14_unplanned_maint (doctor detection/MTTR, hedging) and
+# bench_domain_outage (availability dip, time back to quorum) were once
+# ratio-gated; as sim-time scalars they are pinned exactly here.
 for bench in bench_ablation_quorum bench_fig06_languages \
              bench_fig11_preferred_backend bench_tenant_isolation \
              bench_fig16_17_1rma_ramp bench_ablation_assoc \
              bench_resharding bench_fig03_reshaping \
-             bench_fig07_cpu_per_op bench_ablation_eviction; do
+             bench_fig07_cpu_per_op bench_ablation_eviction \
+             bench_fig08_ads bench_fig14_unplanned_maint \
+             bench_domain_outage; do
   baseline="BENCH_${bench#bench_}.json"
   if ! diff <("$JQ" -S .scalars "${baseline}") \
             <(./build/bench/${bench} --json | "$JQ" -S .scalars); then
@@ -127,7 +105,7 @@ echo "== sanitizer (ASan/UBSan): build =="
 cmake -B build-asan -S . -DCM_SANITIZE=ON >/dev/null
 cmake --build build-asan -j
 
-echo "== sanitizer: chaos + resharding + health + tenancy + batch + loccache + quorum + disaster + proto + backend + metrics labels =="
-(cd build-asan && ctest --output-on-failure -j "$(nproc)" -L 'chaos|resharding|health|tenancy|batch|loccache|quorum|disaster|proto|backend|metrics')
+echo "== sanitizer: chaos + resharding + health + tenancy + batch + loccache + quorum + disaster + proto + backend + metrics + codec labels =="
+(cd build-asan && ctest --output-on-failure -j "$(nproc)" -L 'chaos|resharding|health|tenancy|batch|loccache|quorum|disaster|proto|backend|metrics|codec')
 
 echo "== all checks passed =="

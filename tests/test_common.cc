@@ -2,6 +2,7 @@
 
 #include <set>
 #include <unordered_set>
+#include <vector>
 
 #include "common/checksum.h"
 #include "common/hash.h"
@@ -109,6 +110,88 @@ TEST(Crc32c, IntegerUpdatesMatchByteEncoding) {
   StoreU32(buf, 0xdeadbeef);
   StoreU64(buf + 4, 0x0123456789abcdefull);
   EXPECT_EQ(a.value(), ComputeCrc32c(ByteSpan(buf, 12)));
+}
+
+// Bit-at-a-time CRC32C straight from the reflected polynomial: the
+// definition both kernels must reproduce.
+uint32_t BitwiseCrc32c(uint32_t crc, const uint8_t* p, size_t n) {
+  crc = ~crc;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0x82f63b78u & (0u - (crc & 1u)));
+    }
+  }
+  return ~crc;
+}
+
+using Crc32cKernel = uint32_t (*)(uint32_t, const uint8_t*, size_t);
+
+void ExpectKnownVectors(Crc32cKernel extend) {
+  const auto* digits = reinterpret_cast<const uint8_t*>("123456789");
+  EXPECT_EQ(extend(0, digits, 9), 0xE3069283u);
+  EXPECT_EQ(extend(0, digits, 0), 0u);
+  EXPECT_EQ(extend(0, nullptr, 0), 0u);
+}
+
+// Every length 0..4100 at every start offset 0..7 into one buffer (so the
+// 8-byte word loop sees every alignment and every tail length), one-shot
+// and fed in pieces at seeded random split points.
+void ExpectMatchesBitwise(Crc32cKernel extend) {
+  constexpr size_t kMaxLen = 4100;
+  Rng rng(0xC5C32C);
+  std::vector<uint8_t> buf(kMaxLen + 8);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.NextU64());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const uint8_t* p = buf.data() + offset;
+    uint32_t want = 0;  // bitwise CRC of p[0, len), extended a byte a time
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      if (len > 0) want = BitwiseCrc32c(want, p + len - 1, 1);
+      ASSERT_EQ(extend(0, p, len), want) << "offset " << offset << " len "
+                                         << len;
+      uint32_t crc = 0;
+      for (size_t pos = 0; pos < len;) {
+        size_t piece = 1 + rng.NextBounded(len - pos);
+        crc = extend(crc, p + pos, piece);
+        pos += piece;
+      }
+      ASSERT_EQ(crc, want) << "split: offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32cKernels, PortableKnownVectors) {
+  ExpectKnownVectors(crc32c_internal::ExtendPortable);
+}
+
+TEST(Crc32cKernels, HwKnownVectors) {
+  if (!crc32c_internal::HwAvailable()) GTEST_SKIP() << "no SSE4.2 crc32";
+  ExpectKnownVectors(crc32c_internal::ExtendHw);
+}
+
+TEST(Crc32cKernels, PortableMatchesBitwiseReference) {
+  ExpectMatchesBitwise(crc32c_internal::ExtendPortable);
+}
+
+TEST(Crc32cKernels, HwMatchesBitwiseReference) {
+  if (!crc32c_internal::HwAvailable()) GTEST_SKIP() << "no SSE4.2 crc32";
+  ExpectMatchesBitwise(crc32c_internal::ExtendHw);
+}
+
+TEST(Crc32cKernels, KernelsAgreeWithEachOtherAndTheDispatcher) {
+  Rng rng(42);
+  Bytes data(70000);
+  for (auto& b : data) b = static_cast<std::byte>(rng.NextU64());
+  const auto* p = reinterpret_cast<const uint8_t*>(data.data());
+  for (int trial = 0; trial < 200; ++trial) {
+    size_t offset = rng.NextBounded(64);
+    size_t len = rng.NextBounded(data.size() - offset + 1);
+    uint32_t portable = crc32c_internal::ExtendPortable(0, p + offset, len);
+    EXPECT_EQ(ComputeCrc32c(ByteSpan(data).subspan(offset, len)), portable);
+    if (crc32c_internal::HwAvailable()) {
+      EXPECT_EQ(crc32c_internal::ExtendHw(0, p + offset, len), portable);
+    }
+  }
 }
 
 TEST(Rng, Deterministic) {
