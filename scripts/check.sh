@@ -2,8 +2,9 @@
 # One-command gate: tier-1 build + tests, the perf gates and the sim-time
 # bench pins, then a sanitizer build running the fault-injection (chaos),
 # elasticity (resharding), self-healing (health), wire-codec (proto),
-# backend residency (backend), registry-export (metrics) and CRC/codec
-# (codec) suites, among others.
+# backend residency (backend), registry-export (metrics), CRC/codec and
+# RecencyMap (codec), event-queue (sim) and eviction-policy (eviction)
+# suites, among others.
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast  skip the sanitizer stage (tier-1 only)
@@ -105,7 +106,7 @@ echo "== sanitizer (ASan/UBSan): build =="
 cmake -B build-asan -S . -DCM_SANITIZE=ON >/dev/null
 cmake --build build-asan -j
 
-echo "== sanitizer: chaos + resharding + health + tenancy + batch + loccache + quorum + disaster + proto + backend + metrics + codec labels =="
-(cd build-asan && ctest --output-on-failure -j "$(nproc)" -L 'chaos|resharding|health|tenancy|batch|loccache|quorum|disaster|proto|backend|metrics|codec')
+echo "== sanitizer: chaos + resharding + health + tenancy + batch + loccache + quorum + disaster + proto + backend + metrics + codec + sim + eviction labels =="
+(cd build-asan && ctest --output-on-failure -j "$(nproc)" -L 'chaos|resharding|health|tenancy|batch|loccache|quorum|disaster|proto|backend|metrics|codec|sim|eviction')
 
 echo "== all checks passed =="

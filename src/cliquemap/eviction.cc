@@ -1,88 +1,74 @@
 #include "cliquemap/eviction.h"
 
-#include <list>
-#include <unordered_map>
+#include <algorithm>
 #include <vector>
 
+#include "common/recency_map.h"
 #include "common/rng.h"
 
 namespace cm::cliquemap {
 namespace {
 
-// Shared recency bookkeeping: a logical tick per insert/touch, used by the
-// candidate-restricted victim choice.
-class TickBase : public EvictionPolicy {
- public:
-  Hash128 VictimAmong(std::span<const Hash128> candidates) override {
-    Hash128 best;
-    uint64_t best_tick = ~uint64_t{0};
-    for (const Hash128& c : candidates) {
-      auto it = ticks_.find(c);
-      const uint64_t t = it == ticks_.end() ? 0 : it->second;
-      if (t < best_tick) {
-        best_tick = t;
-        best = c;
-      }
+// The candidate-restricted victim choice shared by the recency policies:
+// the candidate with the oldest insert/touch tick, where a key the policy
+// does not track counts as never touched (tick 0); ties keep the first.
+template <typename TickOf>
+Hash128 OldestAmong(std::span<const Hash128> candidates, TickOf tick_of) {
+  Hash128 best;
+  uint64_t best_tick = ~uint64_t{0};
+  for (const Hash128& c : candidates) {
+    const uint64_t t = tick_of(c);
+    if (t < best_tick) {
+      best_tick = t;
+      best = c;
     }
-    return best;
   }
+  return best;
+}
 
- protected:
-  void Tick(const Hash128& key) { ticks_[key] = ++now_; }
-  void Drop(const Hash128& key) { ticks_.erase(key); }
+// A recency list whose value is the key's last insert/touch tick.
+using TickList = RecencyMap<uint64_t>;
 
- private:
-  uint64_t now_ = 0;
-  std::unordered_map<Hash128, uint64_t> ticks_;
-};
+uint64_t TickIn(const TickList& list, const Hash128& key) {
+  const uint64_t* t = list.Find(key);
+  return t == nullptr ? 0 : *t;
+}
 
 // ---------------------------------------------------------------------------
 // LRU
 // ---------------------------------------------------------------------------
 
-class LruPolicy final : public TickBase {
+class LruPolicy final : public EvictionPolicy {
  public:
-  void OnInsert(const Hash128& key) override { Touch(key); }
+  void OnInsert(const Hash128& key) override { order_.Put(key, ++now_); }
   // Touches arrive from batched client access records and may reference
   // keys evicted in the meantime; they refresh only resident entries.
   void OnTouch(const Hash128& key) override {
-    if (index_.count(key) > 0) Touch(key);
+    if (uint64_t* tick = order_.MoveToFront(key)) *tick = ++now_;
   }
-
-  void OnRemove(const Hash128& key) override {
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      order_.erase(it->second);
-      index_.erase(it);
-    }
-    Drop(key);
-  }
+  void OnRemove(const Hash128& key) override { order_.Erase(key); }
 
   Hash128 Victim() override {
-    return order_.empty() ? Hash128{} : order_.back();
+    return order_.empty() ? Hash128{} : order_.Back();
+  }
+  Hash128 VictimAmong(std::span<const Hash128> candidates) override {
+    return OldestAmong(candidates,
+                       [this](const Hash128& k) { return TickIn(order_, k); });
   }
 
-  size_t tracked() const override { return index_.size(); }
+  size_t tracked() const override { return order_.size(); }
   std::string_view name() const override { return "lru"; }
 
  private:
-  void Touch(const Hash128& key) {
-    Tick(key);
-    auto it = index_.find(key);
-    if (it != index_.end()) order_.erase(it->second);
-    order_.push_front(key);
-    index_[key] = order_.begin();
-  }
-
-  std::list<Hash128> order_;  // front = most recent
-  std::unordered_map<Hash128, std::list<Hash128>::iterator> index_;
+  uint64_t now_ = 0;
+  TickList order_;  // front = most recent
 };
 
 // ---------------------------------------------------------------------------
 // ARC (Megiddo & Modha, FAST'03)
 // ---------------------------------------------------------------------------
 
-class ArcPolicy final : public TickBase {
+class ArcPolicy final : public EvictionPolicy {
  public:
   explicit ArcPolicy(size_t capacity) : c_(capacity ? capacity : 1) {}
 
@@ -90,131 +76,111 @@ class ArcPolicy final : public TickBase {
   // Touches refresh only resident entries (ghost adaptation happens on
   // re-insert after a miss).
   void OnTouch(const Hash128& key) override {
-    if (t1_.Contains(key) || t2_.Contains(key)) Access(key);
+    if (t1_.Find(key) != nullptr || t2_.Find(key) != nullptr) Access(key);
   }
 
   void OnRemove(const Hash128& key) override {
-    EraseFrom(t1_, key) || EraseFrom(t2_, key);
-    Drop(key);
+    t1_.Erase(key) || t2_.Erase(key);
   }
 
   Hash128 Victim() override {
     // REPLACE: evict from T1 if |T1| >= max(1, p), else from T2. The victim
     // becomes a ghost so a re-reference adapts p.
-    if (!t1_.list.empty() &&
-        (t1_.list.size() >= std::max<size_t>(1, p_) || t2_.list.empty())) {
-      Hash128 v = t1_.list.back();
-      MoveToGhost(t1_, b1_, v);
-      return v;
+    if (!t1_.empty() &&
+        (t1_.size() >= std::max<size_t>(1, p_) || t2_.empty())) {
+      return MoveToGhost(t1_, b1_);
     }
-    if (!t2_.list.empty()) {
-      Hash128 v = t2_.list.back();
-      MoveToGhost(t2_, b2_, v);
-      return v;
-    }
+    if (!t2_.empty()) return MoveToGhost(t2_, b2_);
     return Hash128{};
   }
 
-  size_t tracked() const override { return t1_.map.size() + t2_.map.size(); }
+  Hash128 VictimAmong(std::span<const Hash128> candidates) override {
+    return OldestAmong(candidates, [this](const Hash128& k) {
+      return std::max(TickIn(t1_, k), TickIn(t2_, k));
+    });
+  }
+
+  size_t tracked() const override { return t1_.size() + t2_.size(); }
   std::string_view name() const override { return "arc"; }
 
  private:
-  struct Lru {
-    std::list<Hash128> list;  // front = MRU
-    std::unordered_map<Hash128, std::list<Hash128>::iterator> map;
-
-    bool Contains(const Hash128& k) const { return map.count(k) > 0; }
-    void PushFront(const Hash128& k) {
-      list.push_front(k);
-      map[k] = list.begin();
+  // Moves `from`'s LRU key to the front of `ghost`, trimming the ghost list
+  // to c; returns the key. Ghosts carry no tick.
+  Hash128 MoveToGhost(TickList& from, TickList& ghost) {
+    const Hash128 v = from.Back();
+    from.Erase(v);
+    ghost.Put(v, 0);
+    while (ghost.size() > c_) {
+      const Hash128 oldest = ghost.Back();
+      ghost.Erase(oldest);
     }
-    void TrimTo(size_t n) {
-      while (list.size() > n) {
-        map.erase(list.back());
-        list.pop_back();
-      }
-    }
-  };
-
-  static bool EraseFrom(Lru& l, const Hash128& k) {
-    auto it = l.map.find(k);
-    if (it == l.map.end()) return false;
-    l.list.erase(it->second);
-    l.map.erase(it);
-    return true;
-  }
-
-  void MoveToGhost(Lru& from, Lru& ghost, const Hash128& k) {
-    EraseFrom(from, k);
-    ghost.PushFront(k);
-    ghost.TrimTo(c_);
-    Drop(k);
+    return v;
   }
 
   void Access(const Hash128& key) {
-    Tick(key);
-    if (t1_.Contains(key)) {  // second hit: promote to frequent
-      EraseFrom(t1_, key);
-      t2_.PushFront(key);
+    const uint64_t tick = ++now_;
+    if (t1_.Erase(key)) {  // second hit: promote to frequent
+      t2_.Put(key, tick);
       return;
     }
-    if (t2_.Contains(key)) {  // refresh
-      EraseFrom(t2_, key);
-      t2_.PushFront(key);
+    if (uint64_t* t = t2_.MoveToFront(key)) {  // refresh
+      *t = tick;
       return;
     }
-    if (b1_.Contains(key)) {  // ghost hit in recency list: grow p
-      p_ = std::min(c_, p_ + std::max<size_t>(1, b2_.list.size() /
-                                                     std::max<size_t>(
-                                                         1, b1_.list.size())));
-      EraseFrom(b1_, key);
-      t2_.PushFront(key);
+    if (b1_.Find(key) != nullptr) {  // ghost hit in recency list: grow p
+      p_ = std::min(c_, p_ + std::max<size_t>(
+                                 1, b2_.size() / std::max<size_t>(
+                                                     1, b1_.size())));
+      b1_.Erase(key);
+      t2_.Put(key, tick);
       return;
     }
-    if (b2_.Contains(key)) {  // ghost hit in frequency list: shrink p
-      size_t delta =
-          std::max<size_t>(1, b1_.list.size() / std::max<size_t>(
-                                                    1, b2_.list.size()));
+    if (b2_.Find(key) != nullptr) {  // ghost hit in frequency list: shrink p
+      const size_t delta = std::max<size_t>(
+          1, b1_.size() / std::max<size_t>(1, b2_.size()));
       p_ = delta > p_ ? 0 : p_ - delta;
-      EraseFrom(b2_, key);
-      t2_.PushFront(key);
+      b2_.Erase(key);
+      t2_.Put(key, tick);
       return;
     }
-    t1_.PushFront(key);  // brand new
+    t1_.Put(key, tick);  // brand new
   }
 
   size_t c_;
   size_t p_ = 0;
-  Lru t1_, t2_, b1_, b2_;
+  uint64_t now_ = 0;
+  // Resident lists T1 (seen once) and T2 (seen again) and their ghost
+  // lists B1 and B2; front = MRU.
+  TickList t1_, t2_, b1_, b2_;
 };
 
 // ---------------------------------------------------------------------------
 // CLOCK (second chance)
 // ---------------------------------------------------------------------------
 
-class ClockPolicy final : public TickBase {
+class ClockPolicy final : public EvictionPolicy {
  public:
   void OnInsert(const Hash128& key) override {
-    Tick(key);
-    if (index_.count(key)) {
-      ring_[index_[key]].referenced = true;
+    const uint64_t tick = ++now_;
+    if (const size_t* i = index_.Find(key)) {
+      ring_[*i].tick = tick;
+      ring_[*i].referenced = true;
       return;
     }
-    index_[key] = ring_.size();
-    ring_.push_back(Node{key, true});
+    index_.Put(key, ring_.size());
+    ring_.push_back(Node{key, tick, true});
   }
 
+  // Like the other policies, a touch refreshes only a resident entry.
   void OnTouch(const Hash128& key) override {
-    Tick(key);
-    auto it = index_.find(key);
-    if (it != index_.end()) ring_[it->second].referenced = true;
+    if (const size_t* i = index_.Find(key)) {
+      ring_[*i].tick = ++now_;
+      ring_[*i].referenced = true;
+    }
   }
 
   void OnRemove(const Hash128& key) override {
-    auto it = index_.find(key);
-    if (it == index_.end()) return;
-    RemoveAt(it->second);
-    Drop(key);
+    if (const size_t* i = index_.Find(key)) RemoveAt(*i);
   }
 
   Hash128 Victim() override {
@@ -232,27 +198,36 @@ class ClockPolicy final : public TickBase {
     return ring_[hand_ % ring_.size()].key;
   }
 
+  Hash128 VictimAmong(std::span<const Hash128> candidates) override {
+    return OldestAmong(candidates, [this](const Hash128& k) {
+      const size_t* i = index_.Find(k);
+      return i == nullptr ? uint64_t{0} : ring_[*i].tick;
+    });
+  }
+
   size_t tracked() const override { return ring_.size(); }
   std::string_view name() const override { return "clock"; }
 
  private:
   struct Node {
     Hash128 key;
+    uint64_t tick;  // last insert/touch
     bool referenced;
   };
 
   void RemoveAt(size_t i) {
-    index_.erase(ring_[i].key);
+    index_.Erase(ring_[i].key);
     if (i != ring_.size() - 1) {
       ring_[i] = ring_.back();
-      index_[ring_[i].key] = i;
+      *index_.Find(ring_[i].key) = i;
     }
     ring_.pop_back();
     if (hand_ > i) --hand_;
   }
 
+  uint64_t now_ = 0;
   std::vector<Node> ring_;
-  std::unordered_map<Hash128, size_t> index_;
+  RecencyMap<size_t> index_;  // key -> ring position; a plain lookup
   size_t hand_ = 0;
 };
 
@@ -265,19 +240,19 @@ class RandomPolicy final : public EvictionPolicy {
   explicit RandomPolicy(uint64_t seed) : rng_(seed) {}
 
   void OnInsert(const Hash128& key) override {
-    if (index_.count(key)) return;
-    index_[key] = keys_.size();
+    if (index_.Find(key) != nullptr) return;
+    index_.Put(key, keys_.size());
     keys_.push_back(key);
   }
   void OnTouch(const Hash128&) override {}
   void OnRemove(const Hash128& key) override {
-    auto it = index_.find(key);
-    if (it == index_.end()) return;
-    size_t i = it->second;
-    index_.erase(it);
+    const size_t* at = index_.Find(key);
+    if (at == nullptr) return;
+    const size_t i = *at;
+    index_.Erase(key);
     if (i != keys_.size() - 1) {
       keys_[i] = keys_.back();
-      index_[keys_[i]] = i;
+      *index_.Find(keys_[i]) = i;
     }
     keys_.pop_back();
   }
@@ -298,7 +273,7 @@ class RandomPolicy final : public EvictionPolicy {
  private:
   Rng rng_;
   std::vector<Hash128> keys_;
-  std::unordered_map<Hash128, size_t> index_;
+  RecencyMap<size_t> index_;  // key -> position in keys_; a plain lookup
 };
 
 }  // namespace

@@ -6,82 +6,60 @@ namespace cm::cliquemap {
 
 const CachedLocation* LocationCache::Lookup(const Hash128& key,
                                             sim::Time now) {
-  auto it = map_.find(key);
-  if (it == map_.end()) {
+  const CachedLocation* loc = map_.MoveToFront(key);
+  if (loc == nullptr) {
     stats_.misses++;
     return nullptr;
   }
-  if (it->second->loc.expires_at != 0 && now >= it->second->loc.expires_at) {
-    lru_.erase(it->second);
-    map_.erase(it);
+  if (loc->expires_at != 0 && now >= loc->expires_at) {
+    map_.Erase(key);
     stats_.expirations++;
     stats_.misses++;
     return nullptr;
   }
-  lru_.splice(lru_.begin(), lru_, it->second);
   stats_.hits++;
-  return &it->second->loc;
+  return loc;
 }
 
 void LocationCache::Insert(const Hash128& key, const CachedLocation& loc) {
   if (capacity_ == 0) return;
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    it->second->loc = loc;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.push_front(Node{key, loc});
-  map_[key] = lru_.begin();
+  const size_t before = map_.size();
+  map_.Put(key, loc);
+  if (map_.size() == before) return;  // overwrote a live entry
   stats_.insertions++;
-  EvictToCapacity();
+  while (map_.size() > capacity_) {
+    const Hash128 lru = map_.Back();
+    map_.Erase(lru);
+    stats_.evictions++;
+  }
 }
 
 void LocationCache::RaiseVersionFloor(const Hash128& key,
                                       const VersionNumber& version) {
-  auto it = map_.find(key);
-  if (it == map_.end()) return;
-  if (it->second->loc.version < version) it->second->loc.version = version;
+  CachedLocation* loc = map_.Find(key);
+  if (loc != nullptr && loc->version < version) loc->version = version;
 }
 
 bool LocationCache::Invalidate(const Hash128& key) {
-  auto it = map_.find(key);
-  if (it == map_.end()) return false;
-  lru_.erase(it->second);
-  map_.erase(it);
+  if (!map_.Erase(key)) return false;
   stats_.invalidations++;
   return true;
 }
 
 size_t LocationCache::InvalidateShard(uint32_t shard) {
-  size_t dropped = 0;
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->loc.shard == shard) {
-      map_.erase(it->key);
-      it = lru_.erase(it);
-      dropped++;
-    } else {
-      ++it;
-    }
-  }
+  const size_t dropped = map_.EraseIf(
+      [shard](const Hash128&, const CachedLocation& loc) {
+        return loc.shard == shard;
+      });
   stats_.invalidations += dropped;
   return dropped;
 }
 
 size_t LocationCache::Flush() {
   const size_t dropped = map_.size();
-  lru_.clear();
-  map_.clear();
+  map_.Clear();
   stats_.invalidations += dropped;
   return dropped;
-}
-
-void LocationCache::EvictToCapacity() {
-  while (map_.size() > capacity_) {
-    map_.erase(lru_.back().key);
-    lru_.pop_back();
-    stats_.evictions++;
-  }
 }
 
 SpeculationGovernor::SpeculationGovernor() : SpeculationGovernor(Options{}) {}

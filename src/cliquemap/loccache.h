@@ -30,12 +30,11 @@
 #define CM_CLIQUEMAP_LOCCACHE_H_
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/metrics.h"
+#include "common/recency_map.h"
 #include "cliquemap/types.h"
 #include "sim/time.h"
 
@@ -71,13 +70,18 @@ struct LocCacheStats {
 
 // Bounded LRU map KeyHash -> CachedLocation. Single-owner (per client), no
 // locking: the client's coroutines run on the simulator's single thread.
+// One RecencyMap (common/recency_map.h) holds both the lookup and the LRU
+// order: a flat open-addressed index over a dense entry vector whose
+// entries are linked most-recent-first, so a hit is one probe plus a
+// relink and no call allocates once the cache has filled.
 class LocationCache {
  public:
   explicit LocationCache(size_t capacity) : capacity_(capacity) {}
 
   // Returns the entry for `key` (bumped to MRU), or nullptr on a miss or
   // an expired lease (the entry is dropped). The pointer is invalidated by
-  // any mutating call — copy out before awaiting.
+  // any mutating call (an Insert may grow the entry vector) — copy out
+  // before awaiting.
   const CachedLocation* Lookup(const Hash128& key, sim::Time now);
 
   // Side-effect-free probe: no MRU bump, no expiry drop, no stats. Used by
@@ -85,8 +89,7 @@ class LocationCache {
   // without perturbing the cache (a degraded answer is never quorum-backed,
   // so it must leave no trace here).
   const CachedLocation* Peek(const Hash128& key) const {
-    auto it = map_.find(key);
-    return it == map_.end() ? nullptr : &it->second->loc;
+    return map_.Find(key);
   }
 
   // Inserts or overwrites `key`'s entry (MRU position); evicts the LRU
@@ -109,15 +112,7 @@ class LocationCache {
   const LocCacheStats& stats() const { return stats_; }
 
  private:
-  struct Node {
-    Hash128 key;
-    CachedLocation loc;
-  };
-
-  void EvictToCapacity();
-
-  std::list<Node> lru_;  // front = MRU
-  std::unordered_map<Hash128, std::list<Node>::iterator> map_;
+  RecencyMap<CachedLocation> map_;  // front = MRU
   size_t capacity_;
   LocCacheStats stats_;
 };

@@ -158,43 +158,40 @@ void Simulator::CascadeSlot(int level, int slot) {
   }
 }
 
-bool Simulator::AdvanceBase() {
-  int s = FindFirst(occupancy_[1], int((base_ >> 8) & 255) + 1);
-  if (s >= 0) {
-    base_ = (base_ >> 16 << 16) | (Time(s) << 8);
-    CascadeSlot(1, s);
+bool Simulator::AdvanceBase(Time limit) {
+  // The first occupied slot above base_'s at the lowest such level holds
+  // the earliest pending block, so a block start beyond `limit` means every
+  // pending event is.
+  for (int lvl = 1; lvl < kLevels; ++lvl) {
+    const int shift = 8 * lvl;
+    const int s =
+        FindFirst(occupancy_[lvl], int((base_ >> shift) & 255) + 1);
+    if (s < 0) continue;
+    const Time start = (base_ >> (shift + 8) << (shift + 8)) |
+                       (Time(s) << shift);
+    if (start > limit) return false;
+    base_ = start;
+    CascadeSlot(lvl, s);
     return true;
   }
-  s = FindFirst(occupancy_[2], int((base_ >> 16) & 255) + 1);
-  if (s >= 0) {
-    base_ = (base_ >> 24 << 24) | (Time(s) << 16);
-    CascadeSlot(2, s);
-    return true;
+  if (overflow_.empty()) return false;
+  // Re-anchor the wheel at the earliest overflow event's block and pull in
+  // everything within the new horizon. Heap pops arrive in (t, seq) order,
+  // so redistributed lists stay seq-sorted for equal t.
+  const Time start = overflow_.front()->t >> 8 << 8;
+  if (start > limit) return false;
+  base_ = start;
+  while (!overflow_.empty() &&
+         (overflow_.front()->t >> 32) == (base_ >> 32)) {
+    std::pop_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
+    EventNode* n = overflow_.back();
+    overflow_.pop_back();
+    Classify(n);
   }
-  s = FindFirst(occupancy_[3], int((base_ >> 24) & 255) + 1);
-  if (s >= 0) {
-    base_ = (base_ >> 32 << 32) | (Time(s) << 24);
-    CascadeSlot(3, s);
-    return true;
-  }
-  if (!overflow_.empty()) {
-    // Re-anchor the wheel at the earliest overflow event's block and pull in
-    // everything within the new horizon. Heap pops arrive in (t, seq) order,
-    // so redistributed lists stay seq-sorted for equal t.
-    base_ = overflow_.front()->t >> 8 << 8;
-    while (!overflow_.empty() &&
-           (overflow_.front()->t >> 32) == (base_ >> 32)) {
-      std::pop_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
-      EventNode* n = overflow_.back();
-      overflow_.pop_back();
-      Classify(n);
-    }
-    return true;
-  }
-  return false;
+  return true;
 }
 
-Simulator::EventNode* Simulator::PopMin() {
+Simulator::EventNode* Simulator::PopMin(Time limit) {
   for (;;) {
     const int hint =
         ((now_ >> 8) == (base_ >> 8)) ? int(now_ & 255) : 0;
@@ -202,6 +199,7 @@ Simulator::EventNode* Simulator::PopMin() {
     if (s >= 0) {
       Slot& sl = wheel_[0][s];
       EventNode* n = sl.head;
+      if (n->t > limit) return nullptr;
       sl.head = n->next;
       if (sl.head == nullptr) {
         sl.tail = nullptr;
@@ -210,29 +208,8 @@ Simulator::EventNode* Simulator::PopMin() {
       --live_events_;
       return n;
     }
-    if (!AdvanceBase()) return nullptr;
+    if (!AdvanceBase(limit)) return nullptr;
   }
-}
-
-Time Simulator::PeekTime() const {
-  int s = FindFirst(occupancy_[0], 0);
-  if (s >= 0) return wheel_[0][s].head->t;
-  // Levels 1-3: the first occupied slot holds the earliest block; its list
-  // is unordered by t, so take the list minimum. (The next Step cascades
-  // this same list, so the walk is work we were about to do anyway.)
-  for (int lvl = 1; lvl < kLevels; ++lvl) {
-    s = FindFirst(occupancy_[lvl], int((base_ >> (8 * lvl)) & 255) + 1);
-    if (s >= 0) {
-      Time min_t = kNoEvent;
-      for (const EventNode* n = wheel_[lvl][s].head; n != nullptr;
-           n = n->next) {
-        min_t = std::min(min_t, n->t);
-      }
-      return min_t;
-    }
-  }
-  if (!overflow_.empty()) return overflow_.front()->t;
-  return kNoEvent;
 }
 
 void Simulator::ScheduleAt(Time t, std::coroutine_handle<> h) {
@@ -252,9 +229,9 @@ void Simulator::Spawn(Task<void> task) {
   PostAt(now_, [t = std::move(task)]() mutable { RunDetached(std::move(t)); });
 }
 
-void Simulator::Step() {
-  EventNode* n = PopMin();
-  if (n == nullptr) return;
+bool Simulator::Step(Time limit) {
+  EventNode* n = PopMin(limit);
+  if (n == nullptr) return false;
   assert(n->t >= now_);
   now_ = n->t;
   ++events_processed_;
@@ -272,20 +249,24 @@ void Simulator::Step() {
     if (n->destroy != nullptr) n->destroy(n);
     FreeNode(n);
   }
+  return true;
 }
 
 void Simulator::Run() {
-  while (live_events_ > 0) Step();
+  while (Step(kNoEvent)) {
+  }
 }
 
 bool Simulator::RunUntil(Time t) {
-  while (live_events_ > 0 && PeekTime() <= t) Step();
+  while (Step(t)) {
+  }
   if (now_ < t) now_ = t;
   return live_events_ > 0;
 }
 
 void Simulator::RunSteps(uint64_t n) {
-  while (n-- > 0 && live_events_ > 0) Step();
+  while (n-- > 0 && Step(kNoEvent)) {
+  }
 }
 
 }  // namespace cm::sim

@@ -161,20 +161,22 @@ class Simulator {
     Classify(n);
     ++live_events_;
   }
-  // Pops the global (t, seq) minimum; cascades/advances base_ as needed.
-  EventNode* PopMin();
-  // Moves base_ forward to the next occupied block and redistributes it.
-  bool AdvanceBase();
+  // Pops the global (t, seq) minimum if its t <= limit, cascading and
+  // advancing base_ as needed but never past `limit`: an event beyond it
+  // stays where it is, so base_ <= now() still holds once RunUntil(limit)
+  // moves the clock to `limit`.
+  EventNode* PopMin(Time limit);
+  // Moves base_ forward to the next occupied block and redistributes it,
+  // unless that block starts after `limit`.
+  bool AdvanceBase(Time limit);
   void CascadeSlot(int level, int slot);
-  // Non-destructive: earliest pending event time (no cascading, so a peek
-  // beyond `t` in RunUntil can never strand base_ past later insertions).
-  Time PeekTime() const;
 
-  void Step();
+  // Runs the earliest event if its t <= limit; false if there is none.
+  bool Step(Time limit);
   void DestroyPending();
 
   Time now_ = 0;
-  Time base_ = 0;  // wheel origin: all pending events have t >= base_
+  Time base_ = 0;  // wheel origin: base_ <= now_ <= every pending t
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
   uint64_t live_events_ = 0;

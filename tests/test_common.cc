@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <list>
 #include <set>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/checksum.h"
 #include "common/hash.h"
 #include "common/histogram.h"
+#include "common/recency_map.h"
 #include "common/rng.h"
 #include "common/status.h"
 
@@ -312,6 +315,170 @@ TEST(Histogram, EmptyIsSafe) {
   EXPECT_EQ(h.Percentile(0.99), 0);
   EXPECT_EQ(h.count(), 0);
   EXPECT_EQ(h.mean(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// RecencyMap, against a std::list + std::unordered_map reference
+// ---------------------------------------------------------------------------
+
+// The reference: front of `order` = most recent.
+struct RefRecency {
+  std::list<Hash128> order;
+  std::unordered_map<Hash128, std::pair<int, std::list<Hash128>::iterator>>
+      index;
+
+  void Put(const Hash128& k, int v) {
+    Erase(k);
+    order.push_front(k);
+    index[k] = {v, order.begin()};
+  }
+  bool MoveToFront(const Hash128& k) {
+    auto it = index.find(k);
+    if (it == index.end()) return false;
+    order.splice(order.begin(), order, it->second.second);
+    return true;
+  }
+  bool Erase(const Hash128& k) {
+    auto it = index.find(k);
+    if (it == index.end()) return false;
+    order.erase(it->second.second);
+    index.erase(it);
+    return true;
+  }
+};
+
+// The map's full front-to-back order (an EraseIf that erases nothing).
+std::vector<Hash128> OrderOf(RecencyMap<int>& m) {
+  std::vector<Hash128> keys;
+  m.EraseIf([&keys](const Hash128& k, int) {
+    keys.push_back(k);
+    return false;
+  });
+  return keys;
+}
+
+void ExpectSame(RecencyMap<int>& m, const RefRecency& ref) {
+  ASSERT_EQ(m.size(), ref.index.size());
+  ASSERT_EQ(m.empty(), ref.index.empty());
+  const std::vector<Hash128> want(ref.order.begin(), ref.order.end());
+  ASSERT_EQ(OrderOf(m), want);
+  if (!want.empty()) {
+    ASSERT_EQ(m.Back(), want.back());
+  }
+  for (const auto& [k, entry] : ref.index) {
+    const int* v = m.Find(k);
+    ASSERT_NE(v, nullptr);
+    ASSERT_EQ(*v, entry.first);
+  }
+}
+
+// Runs `ops` seeded operations over `universe` keys, checking every result
+// and, every `check_every` ops, the whole map.
+void RunRecencyStream(uint64_t seed, int universe, int ops, int check_every) {
+  Rng rng(seed);
+  RecencyMap<int> m;
+  RefRecency ref;
+  auto key = [&rng, universe] {
+    return HashKey("k" + std::to_string(rng.NextBounded(universe)));
+  };
+  for (int op = 0; op < ops; ++op) {
+    const uint64_t roll = rng.NextBounded(100);
+    const Hash128 k = key();
+    if (roll < 40) {
+      const int v = static_cast<int>(rng.NextBounded(1000));
+      ASSERT_EQ(m.Put(k, v), v);
+      ref.Put(k, v);
+    } else if (roll < 55) {
+      const int* got = m.MoveToFront(k);
+      ASSERT_EQ(got != nullptr, ref.MoveToFront(k)) << "op " << op;
+      if (got != nullptr) {
+        ASSERT_EQ(*got, ref.index.at(k).first);
+      }
+    } else if (roll < 85) {
+      ASSERT_EQ(m.Erase(k), ref.Erase(k)) << "op " << op;
+    } else if (roll < 95) {
+      const int* got = m.Find(k);
+      const auto it = ref.index.find(k);
+      ASSERT_EQ(got != nullptr, it != ref.index.end()) << "op " << op;
+      if (got != nullptr) {
+        ASSERT_EQ(*got, it->second.first);
+      }
+    } else if (roll < 99) {
+      // Erase a value class mid-walk; the walk must still visit everything
+      // else in order and return the exact count.
+      const int parity = static_cast<int>(rng.NextBounded(2));
+      std::vector<Hash128> visited;
+      const size_t erased = m.EraseIf([&](const Hash128& kk, int v) {
+        visited.push_back(kk);
+        return v % 2 == parity;
+      });
+      const std::vector<Hash128> want(ref.order.begin(), ref.order.end());
+      ASSERT_EQ(visited, want) << "op " << op;
+      size_t want_erased = 0;
+      for (const Hash128& kk : want) {
+        if (ref.index.at(kk).first % 2 == parity) {
+          ref.Erase(kk);
+          ++want_erased;
+        }
+      }
+      ASSERT_EQ(erased, want_erased);
+    } else {
+      m.Clear();
+      ref.order.clear();
+      ref.index.clear();
+    }
+    if (op % check_every == 0) ExpectSame(m, ref);
+  }
+  ExpectSame(m, ref);
+}
+
+TEST(RecencyMap, MatchesListAndHashMapReference) {
+  // 8 keys never grow the 16-slot table past half full, so probe runs are
+  // long and often wrap past the last slot; 5000 keys grow it to thousands
+  // of slots.
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    RunRecencyStream(seed, 8, 20000, 1);
+    RunRecencyStream(seed, 5000, 60000, 997);
+  }
+}
+
+// Keys whose home slot in a 16-slot table is known: the table's tag is the
+// high half of (lo ^ hi * C) * K, so with hi = 0 a lo of (home << 60 | d) *
+// K^-1 lands in `home`. (If the mix changes, these keys still test a valid
+// table, just not this exact layout.)
+Hash128 KeyWithHome16(uint64_t home, uint64_t d) {
+  constexpr uint64_t kK = 0x9e3779b97f4a7c15ull;
+  uint64_t inv = kK;  // Newton: each step doubles the correct low bits
+  for (int i = 0; i < 6; ++i) inv *= 2 - kK * inv;
+  return Hash128{0, ((home << 60) | d) * inv};
+}
+
+TEST(RecencyMap, WrapAroundRunDeletesCleanly) {
+  RecencyMap<int> m;
+  const Hash128 a = KeyWithHome16(15, 1);  // slot 15
+  const Hash128 b = KeyWithHome16(15, 2);  // wraps to slot 0
+  const Hash128 c = KeyWithHome16(0, 3);   // pushed to slot 1
+  const Hash128 d = KeyWithHome16(14, 4);  // slot 14, ahead of the run
+  m.Put(d, 4);
+  m.Put(a, 1);
+  m.Put(b, 2);
+  m.Put(c, 3);
+  // Deleting the head of the wrapped run shifts b and c back across the
+  // boundary; d, before the run, stays put.
+  ASSERT_TRUE(m.Erase(a));
+  EXPECT_EQ(m.Find(a), nullptr);
+  ASSERT_NE(m.Find(b), nullptr);
+  EXPECT_EQ(*m.Find(b), 2);
+  ASSERT_NE(m.Find(c), nullptr);
+  EXPECT_EQ(*m.Find(c), 3);
+  ASSERT_NE(m.Find(d), nullptr);
+  ASSERT_TRUE(m.Erase(b));
+  ASSERT_NE(m.Find(c), nullptr);
+  m.Put(a, 5);
+  EXPECT_EQ(*m.Find(a), 5);
+  EXPECT_EQ(*m.Find(c), 3);
+  EXPECT_EQ(m.size(), 3u);
+  EXPECT_EQ(m.Back(), d);
 }
 
 }  // namespace

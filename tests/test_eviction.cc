@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <list>
+#include <set>
+#include <unordered_map>
+#include <vector>
+
 #include "cliquemap/eviction.h"
 #include "cliquemap/tombstone.h"
 #include "common/rng.h"
@@ -8,6 +13,207 @@ namespace cm::cliquemap {
 namespace {
 
 Hash128 H(int i) { return HashKey("key-" + std::to_string(i)); }
+
+// ---------------------------------------------------------------------------
+// Reference policies: the std::list + std::unordered_map implementations of
+// LRU, ARC and Random that the flat RecencyMap ports replaced, kept verbatim
+// as oracles for the differential test below.
+// ---------------------------------------------------------------------------
+
+class RefTickBase : public EvictionPolicy {
+ public:
+  Hash128 VictimAmong(std::span<const Hash128> candidates) override {
+    Hash128 best;
+    uint64_t best_tick = ~uint64_t{0};
+    for (const Hash128& c : candidates) {
+      auto it = ticks_.find(c);
+      const uint64_t t = it == ticks_.end() ? 0 : it->second;
+      if (t < best_tick) {
+        best_tick = t;
+        best = c;
+      }
+    }
+    return best;
+  }
+
+ protected:
+  void Tick(const Hash128& key) { ticks_[key] = ++now_; }
+  void Drop(const Hash128& key) { ticks_.erase(key); }
+
+ private:
+  uint64_t now_ = 0;
+  std::unordered_map<Hash128, uint64_t> ticks_;
+};
+
+class RefLru final : public RefTickBase {
+ public:
+  void OnInsert(const Hash128& key) override { Touch(key); }
+  void OnTouch(const Hash128& key) override {
+    if (index_.count(key) > 0) Touch(key);
+  }
+  void OnRemove(const Hash128& key) override {
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      order_.erase(it->second);
+      index_.erase(it);
+    }
+    Drop(key);
+  }
+  Hash128 Victim() override {
+    return order_.empty() ? Hash128{} : order_.back();
+  }
+  size_t tracked() const override { return index_.size(); }
+  std::string_view name() const override { return "ref-lru"; }
+
+ private:
+  void Touch(const Hash128& key) {
+    Tick(key);
+    auto it = index_.find(key);
+    if (it != index_.end()) order_.erase(it->second);
+    order_.push_front(key);
+    index_[key] = order_.begin();
+  }
+
+  std::list<Hash128> order_;
+  std::unordered_map<Hash128, std::list<Hash128>::iterator> index_;
+};
+
+class RefArc final : public RefTickBase {
+ public:
+  explicit RefArc(size_t capacity) : c_(capacity ? capacity : 1) {}
+
+  void OnInsert(const Hash128& key) override { Access(key); }
+  void OnTouch(const Hash128& key) override {
+    if (t1_.Contains(key) || t2_.Contains(key)) Access(key);
+  }
+  void OnRemove(const Hash128& key) override {
+    EraseFrom(t1_, key) || EraseFrom(t2_, key);
+    Drop(key);
+  }
+  Hash128 Victim() override {
+    if (!t1_.list.empty() &&
+        (t1_.list.size() >= std::max<size_t>(1, p_) || t2_.list.empty())) {
+      Hash128 v = t1_.list.back();
+      MoveToGhost(t1_, b1_, v);
+      return v;
+    }
+    if (!t2_.list.empty()) {
+      Hash128 v = t2_.list.back();
+      MoveToGhost(t2_, b2_, v);
+      return v;
+    }
+    return Hash128{};
+  }
+  size_t tracked() const override { return t1_.map.size() + t2_.map.size(); }
+  std::string_view name() const override { return "ref-arc"; }
+
+ private:
+  struct Lru {
+    std::list<Hash128> list;
+    std::unordered_map<Hash128, std::list<Hash128>::iterator> map;
+
+    bool Contains(const Hash128& k) const { return map.count(k) > 0; }
+    void PushFront(const Hash128& k) {
+      list.push_front(k);
+      map[k] = list.begin();
+    }
+    void TrimTo(size_t n) {
+      while (list.size() > n) {
+        map.erase(list.back());
+        list.pop_back();
+      }
+    }
+  };
+
+  static bool EraseFrom(Lru& l, const Hash128& k) {
+    auto it = l.map.find(k);
+    if (it == l.map.end()) return false;
+    l.list.erase(it->second);
+    l.map.erase(it);
+    return true;
+  }
+
+  void MoveToGhost(Lru& from, Lru& ghost, const Hash128& k) {
+    EraseFrom(from, k);
+    ghost.PushFront(k);
+    ghost.TrimTo(c_);
+    Drop(k);
+  }
+
+  void Access(const Hash128& key) {
+    Tick(key);
+    if (t1_.Contains(key)) {
+      EraseFrom(t1_, key);
+      t2_.PushFront(key);
+      return;
+    }
+    if (t2_.Contains(key)) {
+      EraseFrom(t2_, key);
+      t2_.PushFront(key);
+      return;
+    }
+    if (b1_.Contains(key)) {
+      p_ = std::min(c_, p_ + std::max<size_t>(1, b2_.list.size() /
+                                                     std::max<size_t>(
+                                                         1, b1_.list.size())));
+      EraseFrom(b1_, key);
+      t2_.PushFront(key);
+      return;
+    }
+    if (b2_.Contains(key)) {
+      size_t delta =
+          std::max<size_t>(1, b1_.list.size() / std::max<size_t>(
+                                                    1, b2_.list.size()));
+      p_ = delta > p_ ? 0 : p_ - delta;
+      EraseFrom(b2_, key);
+      t2_.PushFront(key);
+      return;
+    }
+    t1_.PushFront(key);
+  }
+
+  size_t c_;
+  size_t p_ = 0;
+  Lru t1_, t2_, b1_, b2_;
+};
+
+class RefRandom final : public EvictionPolicy {
+ public:
+  explicit RefRandom(uint64_t seed) : rng_(seed) {}
+
+  void OnInsert(const Hash128& key) override {
+    if (index_.count(key)) return;
+    index_[key] = keys_.size();
+    keys_.push_back(key);
+  }
+  void OnTouch(const Hash128&) override {}
+  void OnRemove(const Hash128& key) override {
+    auto it = index_.find(key);
+    if (it == index_.end()) return;
+    size_t i = it->second;
+    index_.erase(it);
+    if (i != keys_.size() - 1) {
+      keys_[i] = keys_.back();
+      index_[keys_[i]] = i;
+    }
+    keys_.pop_back();
+  }
+  Hash128 Victim() override {
+    if (keys_.empty()) return Hash128{};
+    return keys_[rng_.NextBounded(keys_.size())];
+  }
+  Hash128 VictimAmong(std::span<const Hash128> candidates) override {
+    if (candidates.empty()) return Hash128{};
+    return candidates[rng_.NextBounded(candidates.size())];
+  }
+  size_t tracked() const override { return keys_.size(); }
+  std::string_view name() const override { return "ref-random"; }
+
+ private:
+  Rng rng_;
+  std::vector<Hash128> keys_;
+  std::unordered_map<Hash128, size_t> index_;
+};
 
 class PolicyTest : public ::testing::TestWithParam<EvictionPolicyKind> {
  protected:
@@ -142,6 +348,94 @@ TEST(Random, CoversAllKeysEventually) {
     seen.insert({v.hi, v.lo});
   }
   EXPECT_EQ(seen.size(), 8u);
+}
+
+TEST(Clock, TouchOfAnUntrackedKeyLeavesItNeverTouched) {
+  // Touch reports may name keys evicted since; like the other policies,
+  // CLOCK refreshes only resident entries, so such a key stays "never
+  // touched" (tick 0) and is the first choice among bucket candidates.
+  auto p = MakeEvictionPolicy(EvictionPolicyKind::kClock, 0, 1);
+  p->OnInsert(H(1));
+  p->OnInsert(H(2));
+  p->OnTouch(H(9));  // untracked
+  std::vector<Hash128> candidates = {H(1), H(9)};
+  EXPECT_EQ(p->VictimAmong(candidates), H(9));
+  // The same holds for a key touched after its removal.
+  p->OnRemove(H(2));
+  p->OnTouch(H(2));
+  candidates = {H(1), H(2)};
+  EXPECT_EQ(p->VictimAmong(candidates), H(2));
+  EXPECT_EQ(p->tracked(), 1u);
+}
+
+// The RecencyMap ports against the reference policies above: identical
+// Victim, VictimAmong and tracked() over seeded streams of inserts, touches
+// (including touches of untracked keys), removes and victim choices (some
+// removed afterwards, some left for the backend's stale-victim path).
+void ExpectSameAsReference(EvictionPolicyKind kind, EvictionPolicy& ref,
+                           uint64_t seed) {
+  constexpr size_t kCapacity = 48;
+  auto got = MakeEvictionPolicy(kind, kCapacity, seed);
+  Rng rng(seed);
+  constexpr int kUniverse = 96;
+  for (int op = 0; op < 20000; ++op) {
+    const Hash128 k = H(static_cast<int>(rng.NextBounded(kUniverse)));
+    const uint64_t roll = rng.NextBounded(100);
+    if (roll < 35) {
+      ref.OnInsert(k);
+      got->OnInsert(k);
+    } else if (roll < 60) {
+      ref.OnTouch(k);
+      got->OnTouch(k);
+    } else if (roll < 75) {
+      ref.OnRemove(k);
+      got->OnRemove(k);
+    } else if (roll < 88) {
+      const Hash128 v = ref.Victim();
+      ASSERT_EQ(got->Victim(), v) << "op " << op;
+      if (!v.is_zero() && rng.NextBounded(4) != 0) {
+        ref.OnRemove(v);
+        got->OnRemove(v);
+      }
+    } else {
+      std::vector<Hash128> candidates(rng.NextBounded(8));
+      for (Hash128& c : candidates) {
+        c = H(static_cast<int>(rng.NextBounded(kUniverse)));
+      }
+      ASSERT_EQ(got->VictimAmong(candidates), ref.VictimAmong(candidates))
+          << "op " << op;
+    }
+    ASSERT_EQ(got->tracked(), ref.tracked()) << "op " << op;
+  }
+  // Drain: the full victim order must match too.
+  for (Hash128 v = ref.Victim(); !v.is_zero(); v = ref.Victim()) {
+    ASSERT_EQ(got->Victim(), v);
+    ref.OnRemove(v);
+    got->OnRemove(v);
+  }
+  EXPECT_TRUE(got->Victim().is_zero());
+  EXPECT_EQ(got->tracked(), 0u);
+}
+
+TEST(PolicyDifferential, LruMatchesReference) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    RefLru ref;
+    ExpectSameAsReference(EvictionPolicyKind::kLru, ref, seed);
+  }
+}
+
+TEST(PolicyDifferential, ArcMatchesReference) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    RefArc ref(48);
+    ExpectSameAsReference(EvictionPolicyKind::kArc, ref, seed);
+  }
+}
+
+TEST(PolicyDifferential, RandomMatchesReference) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    RefRandom ref(seed);
+    ExpectSameAsReference(EvictionPolicyKind::kRandom, ref, seed);
+  }
 }
 
 // ---------------------------------------------------------------------------

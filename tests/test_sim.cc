@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/cpu.h"
@@ -345,6 +348,53 @@ TEST(CpuPool, BusyCoreSkipsPenalty) {
   sim.Run();
   ASSERT_EQ(done.size(), 2u);
   EXPECT_EQ(done[1], Microseconds(60));  // no penalty: idle gap < threshold
+}
+
+// RunUntil(t) must not strand the wheel: when the next event lies beyond t
+// in a later level-0 slot, a level-1/2/3 block or the overflow heap, the
+// queue may cascade only up to t, so events posted afterwards into the gap
+// (t, next] still fire in exact (t, seq) order. Each case stops at several
+// points before the far event: inside its 256 ns block, just before that
+// block, and far before it.
+TEST(Simulator, RunUntilLeavesTheGapOpenForLaterPosts) {
+  // Far events: level 0, level 1, level 2, level 3 and overflow (> 2^32 ns).
+  for (const Time far : {Time{200}, Time{10'000}, Time{1'000'000},
+                         Time{100'000'000}, Time{10'000'000'000}}) {
+    for (const Time stop : {far - 1, (far >> 8 << 8) - 1, far / 2}) {
+      if (stop < 5) continue;  // far's block starts at 0
+      SCOPED_TRACE("far=" + std::to_string(far) +
+                   " stop=" + std::to_string(stop));
+      Simulator sim;
+      std::vector<std::pair<Time, int>> posted;  // (t, id) in post order
+      std::vector<int> fired;
+      auto post = [&](Time t) {
+        const int id = static_cast<int>(posted.size());
+        posted.emplace_back(t, id);
+        sim.PostAt(t, [&fired, id] { fired.push_back(id); });
+      };
+      post(5);
+      post(far);
+      post(far + 300);
+      ASSERT_TRUE(sim.RunUntil(stop));
+      ASSERT_EQ(fired, (std::vector<int>{0}));
+      ASSERT_EQ(sim.now(), stop);
+      for (const Time t : {stop, stop + 1, (stop + far) / 2, far - 1, far,
+                           far + 1, far + 300}) {
+        post(t);
+      }
+      sim.Run();
+      std::vector<std::pair<Time, int>> want = posted;
+      std::stable_sort(want.begin(), want.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.first < b.first;
+                       });
+      std::vector<int> want_ids;
+      for (const auto& [t, id] : want) want_ids.push_back(id);
+      EXPECT_EQ(fired, want_ids);
+      EXPECT_EQ(sim.now(), far + 300);
+      EXPECT_EQ(sim.posts_in_past(), 0);
+    }
+  }
 }
 
 // A past-time post is clamped to now() (it still runs, after already-queued
