@@ -8,8 +8,10 @@
 #   is better
 #
 # A scalar that regresses by more than WARN_RATIO prints a warning; more
-# than FAIL_RATIO fails the gate (exit 1). Improvements are reported
-# informationally — refresh the baseline (EXPERIMENTS.md) to bank them.
+# than FAIL_RATIO fails the gate (exit 1). A scalar that reads 0 in the run
+# but not in the baseline also fails: a bench that broke and emits 0 has
+# no ratio to compare. Improvements are reported informationally — refresh
+# the baseline (EXPERIMENTS.md) to bank them.
 #
 # Usage: scripts/perf_gate.sh [bench-name[:scalar-regex] ...]   (default: simcore)
 #   bench-name is the suffix: `simcore` runs build/bench/bench_simcore
@@ -63,17 +65,24 @@ for spec in "${benches[@]}"; do
       def higher_better:
         ($key | test("per_sec|per_second|throughput|success_ratio"));
       # ratio > 1 means "worse by that factor".
-      ( if $old == 0 or $new == 0 then 1
-        elif higher_better then $old / $new
-        else $new / $old end ) as $ratio |
-      if $ratio > $fail then "FAIL"
-      elif $ratio > $warn then "WARN"
-      elif $ratio < (1 / $warn) then "GOOD"
-      else "ok" end
-      + " " + ($ratio * 100 | round / 100 | tostring)')"
+      if $new == 0 and $old != 0 then "ZERO 0"
+      else
+        ( if $old == 0 or $new == 0 then 1
+          elif higher_better then $old / $new
+          else $new / $old end ) as $ratio |
+        if $ratio > $fail then "FAIL"
+        elif $ratio > $warn then "WARN"
+        elif $ratio < (1 / $warn) then "GOOD"
+        else "ok" end
+        + " " + ($ratio * 100 | round / 100 | tostring)
+      end')"
     status="${verdict%% *}"
     ratio="${verdict#* }"
     case "$status" in
+      ZERO)
+        printf '  FAIL %-34s %14.4g -> 0              (zero in the run, not in the baseline)\n' \
+          "$key" "$old"
+        fail=1 ;;
       FAIL)
         printf '  FAIL %-34s %14.4g -> %-14.4g (%sx worse)\n' \
           "$key" "$old" "$new" "$ratio"
@@ -101,7 +110,7 @@ for spec in "${benches[@]}"; do
 done
 
 if [[ "$fail" == "1" ]]; then
-  echo "perf_gate: FAILED (a scalar regressed past the fail threshold)"
+  echo "perf_gate: FAILED (a scalar regressed past the fail threshold or read 0)"
   exit 1
 fi
 echo "perf_gate: ok"

@@ -117,7 +117,7 @@ Backend::Backend(net::Fabric& fabric, rpc::RpcNetwork& rpc_network,
   const metrics::Labels l = {{"host", std::to_string(host_)}};
   metrics::ExportCounters(exports_, "cm.backend.", l, stats_);
   exports_.ExportGauge("cm.backend.live_entries", l, [this] {
-    return static_cast<int64_t>(live_entries_);
+    return static_cast<int64_t>(live_entries());
   });
   exports_.ExportGauge("cm.backend.memory_footprint_bytes", l, [this] {
     return static_cast<int64_t>(memory_footprint());
@@ -173,7 +173,6 @@ void Backend::Start(uint32_t config_id) {
   locations_.clear();
   overflow_.clear();
   overflow_count_.clear();
-  live_entries_ = 0;
   if (ledger_) ledger_->Clear();  // restart dropped every resident entry
 
   // RMA attach + SCAR co-design install.
@@ -382,11 +381,32 @@ Bytes Backend::ReadData(const Pointer& ptr) const {
   return out;
 }
 
-bool Backend::EvictKey(const Hash128& hash) {
-  // Overflow residents hold no slab memory: evicting one frees nothing.
-  const auto r = FindIndexed(hash);
-  if (!r) return false;
+bool Backend::EvictOne(const EvictScope& scope) {
+  Hash128 victim;
+  if (scope.kind == EvictScope::kPool) {
+    victim = eviction_->Victim();
+  } else {
+    std::vector<Hash128> candidates;
+    if (scope.kind == EvictScope::kBucket) {
+      candidates.reserve(static_cast<size_t>(config_.ways));
+      for (int w = 0; w < config_.ways; ++w) {
+        const IndexEntry e = ReadEntry(scope.bucket, w);
+        if (!e.empty()) candidates.push_back(e.keyhash);
+      }
+    } else {
+      for (const Hash128& h : ledger_->keys(scope.tenant)) {
+        if (h != scope.keep) candidates.push_back(h);
+      }
+    }
+    victim = eviction_->VictimAmong(candidates);
+  }
+  if (victim.is_zero()) return false;
+  const auto r = FindIndexed(victim);
+  assert(r && "the policy and the ledger track only index residents");
   RemoveResident(*r);
+  ++(scope.kind == EvictScope::kPool     ? stats_.evictions_capacity
+     : scope.kind == EvictScope::kBucket ? stats_.evictions_assoc
+                                         : stats_.evictions_tenant);
   return true;
 }
 
@@ -413,14 +433,14 @@ std::optional<Backend::Resident> Backend::FindResident(
                                  })
                   : overflow_.find(std::string(key));
   if (ov == overflow_.end()) return std::nullopt;
-  return Resident{hash, ov->second.second, nullptr, {}, ov};
+  return Resident{hash, ov->second.version, nullptr, {}, ov};
 }
 
 StatusOr<DataEntryView> Backend::ReadRecord(const Resident& r,
                                             Bytes& buf) const {
   if (!r.slot) {
     return DataEntryView{r.hash, r.version, r.ov->first,
-                         ByteSpan(r.ov->second.first)};
+                         ByteSpan(r.ov->second.value)};
   }
   buf = ReadData(r.data);
   return DecodeDataEntry(buf);
@@ -433,7 +453,8 @@ void Backend::RemoveResident(const Resident& r) {
     ClearEntry(r.slot->bucket, r.slot->way);
     FreeData(r.data);
     locations_.erase(r.hash);
-    --live_entries_;
+    eviction_->OnRemove(r.hash);
+    if (ledger_) ledger_->Release(r.hash);
   } else {
     const uint64_t bucket = BucketIndex(r.hash, num_buckets_);
     overflow_.erase(r.ov);
@@ -442,8 +463,6 @@ void Backend::RemoveResident(const Resident& r) {
       SetOverflowFlag(bucket, false);
     }
   }
-  eviction_->OnRemove(r.hash);
-  if (ledger_) ledger_->Release(r.hash);
 }
 
 Status Backend::BumpResident(const Resident& r, const VersionNumber& version) {
@@ -457,23 +476,27 @@ Status Backend::BumpResident(const Resident& r, const VersionNumber& version) {
     WriteEntry(r.slot->bucket, r.slot->way,
                IndexEntry{r.hash, version, r.data});
   } else {
-    overflow_.at(r.ov->first).second = version;
+    overflow_.at(r.ov->first).version = version;
   }
   ++stats_.bump_versions;
   return OkStatus();
 }
 
-void Backend::InsertIndexed(uint64_t bucket, int way, const IndexEntry& entry) {
+void Backend::InsertIndexed(uint64_t bucket, int way, const IndexEntry& entry,
+                            TenantId tenant) {
   WriteEntry(bucket, way, entry);
   locations_[entry.keyhash] = Location{bucket, way};
-  ++live_entries_;
+  eviction_->OnInsert(entry.keyhash);
+  if (ledger_) ledger_->Charge(tenant, entry.keyhash, entry.pointer.size);
 }
 
 void Backend::InsertOverflow(std::string_view key, const Hash128& hash,
-                             ByteSpan value, const VersionNumber& version) {
+                             ByteSpan value, const VersionNumber& version,
+                             TenantId tenant) {
   const uint64_t bucket = BucketIndex(hash, num_buckets_);
   auto [it, inserted] = overflow_.try_emplace(std::string(key));
-  it->second = {Bytes(value.begin(), value.end()), version};
+  if (tenant == kDefaultTenant) tenant = it->second.tenant;
+  it->second = {Bytes(value.begin(), value.end()), version, tenant};
   if (inserted) overflow_count_[bucket]++;
   SetOverflowFlag(bucket, true);
 }
@@ -486,7 +509,7 @@ void Backend::ForEachRecord(OnResident on_resident,
     on_resident(Resident{hash, e.version, &loc, e.pointer, {}});
   }
   for (auto ov = overflow_.begin(); ov != overflow_.end(); ++ov) {
-    on_resident(Resident{config_.hash_fn(ov->first), ov->second.second,
+    on_resident(Resident{config_.hash_fn(ov->first), ov->second.version,
                          nullptr, {}, ov});
   }
   for (const auto& [hash, tomb] : tombstones_.entries()) {
@@ -510,13 +533,7 @@ sim::Task<StatusOr<uint64_t>> Backend::AllocateWithEviction(uint32_t size) {
       continue;
     }
     // Capacity conflict (§4.2): an eviction anywhere in the pool suffices.
-    Hash128 victim = eviction_->Victim();
-    if (victim.is_zero()) break;
-    if (!EvictKey(victim)) {
-      eviction_->OnRemove(victim);  // stale policy entry; drop and retry
-      continue;
-    }
-    ++stats_.evictions_capacity;
+    if (!EvictOne({.kind = EvictScope::kPool})) break;
   }
   co_return ResourceExhaustedError("data region full and nothing evictable");
 }
@@ -534,7 +551,7 @@ sim::Task<void> Backend::AwaitMutationsAllowed() {
 
 void Backend::MaybeScheduleIndexResize() {
   if (index_resizing_ || !serving_) return;
-  const double load = double(live_entries_) /
+  const double load = double(live_entries()) /
                       double(num_buckets_ * uint64_t(config_.ways));
   if (load < config_.index_load_limit) return;
   index_resizing_ = true;
@@ -548,7 +565,7 @@ sim::Task<void> Backend::ResizeIndex() {
   // registration is "widely recognized to be expensive").
   co_await fabric_.host(host_).cpu().Run(
       config_.memory_registration_cost +
-      sim::Nanoseconds(static_cast<int64_t>(50 * live_entries_)));
+      sim::Nanoseconds(static_cast<int64_t>(50 * live_entries())));
   if (!serving_) {
     index_resizing_ = false;
     resize_done_->Notify();
@@ -599,13 +616,9 @@ sim::Task<void> Backend::ResizeIndex() {
   // Anything still unplaced after repeated doubling is treated as an
   // associativity eviction (vanishingly rare at production geometries).
   for (const Hash128& hash : unplaced) {
-    auto it = locations_.find(hash);
-    if (it == locations_.end()) continue;
-    FreeData(ReadEntry(it->second.bucket, it->second.way).pointer);
-    eviction_->OnRemove(hash);
+    RemoveResident(*FindIndexed(hash));
     ++stats_.evictions_assoc;
   }
-  live_entries_ = new_locations.size();
 
   // Revoke the original index: in-flight client RMAs fail and clients
   // re-learn the layout via RPC (§4.1).
@@ -624,8 +637,7 @@ sim::Task<void> Backend::ResizeIndex() {
   overflow_count_.clear();
   for (auto it = overflow_.begin(); it != overflow_.end();) {
     const std::string& key = it->first;
-    const Bytes& value = it->second.first;
-    const VersionNumber& version = it->second.second;
+    const auto& [value, version, tenant] = it->second;
     const Hash128 hash = config_.hash_fn(key);
     const uint64_t bucket = BucketIndex(hash, num_buckets_);
     bool promoted = false;
@@ -640,7 +652,8 @@ sim::Task<void> Backend::ResizeIndex() {
         InsertIndexed(bucket, *way,
                       IndexEntry{hash, version,
                                  Pointer{data_regions_.back(), entry_bytes,
-                                         *offset}});
+                                         *offset}},
+                      tenant);
         promoted = true;
       }
     }
@@ -711,25 +724,19 @@ sim::Task<StatusOr<bool>> Backend::ApplySet(std::string_view key,
   const auto entry_bytes =
       static_cast<uint32_t>(DataEntryBytes(key.size(), value.size()));
 
-  // Memory-plane containment: a tenant past its byte quota evicts its OWN
-  // least-recently-used keys to make room — neighbors' entries are never
-  // squeezed by this path. Overwrites net out the bytes the key already
-  // holds.
+  // Memory-plane containment (§7.1): a tenant past its byte quota evicts
+  // its OWN keys to make room (the policy picks which, never the key being
+  // written) — neighbors' entries are never squeezed by this path.
+  // Overwrites net out the bytes the key already holds.
   if (ledger_) {
     const TenantId owner =
         tenant != kDefaultTenant ? tenant : ledger_->OwnerOf(hash);
     const uint64_t resident = ledger_->ResidentBytes(hash);
     const uint64_t incoming =
         entry_bytes > resident ? entry_bytes - resident : 0;
-    if (resident > 0) ledger_->Touch(hash);  // never victimize the key itself
-    while (ledger_->OverQuota(owner, incoming)) {
-      auto victim = ledger_->LruVictim(owner);
-      if (!victim || *victim == hash) break;
-      if (!EvictKey(*victim)) {
-        ledger_->Release(*victim);  // stale ledger entry; drop and retry
-        continue;
-      }
-      ++stats_.evictions_tenant;
+    while (ledger_->OverQuota(owner, incoming) &&
+           EvictOne({.kind = EvictScope::kTenant, .tenant = owner,
+                     .keep = hash})) {
     }
   }
 
@@ -768,46 +775,35 @@ sim::Task<StatusOr<bool>> Backend::ApplySet(std::string_view key,
     co_return false;
   }
   if (r && r->slot) {
-    WriteEntry(r->slot->bucket, r->slot->way,
-               IndexEntry{hash, version, new_ptr});
+    InsertIndexed(r->slot->bucket, r->slot->way,
+                  IndexEntry{hash, version, new_ptr}, tenant);
     FreeData(r->data);  // reclaim the old DataEntry as free space
-    if (ledger_) ledger_->Charge(tenant, hash, entry_bytes);
   } else {
     const uint64_t bucket = BucketIndex(hash, num_buckets_);
     auto free_way = FindFreeWay(bucket);
     if (!free_way && config_.rpc_fallback_on_overflow) {
       // Associativity conflict (§4.2), served via RPC instead of RMA.
       slab_->Free(*offset, entry_bytes);
-      InsertOverflow(key, hash, value, version);
+      InsertOverflow(key, hash, value, version, tenant);
       ++stats_.overflow_inserts;
       tombstones_.Clear(hash);
-      eviction_->OnInsert(hash);
       ++stats_.sets_applied;
       co_return true;
     }
-    if (r) RemoveResident(*r);  // promoted out of the overflow table
+    if (r) {  // promoted out of the overflow table, keeping its writer
+      if (tenant == kDefaultTenant) tenant = r->ov->second.tenant;
+      RemoveResident(*r);
+    }
     if (!free_way) {
       // Associativity conflict (§4.2).
-      std::vector<Hash128> residents;
-      residents.reserve(static_cast<size_t>(config_.ways));
-      for (int w = 0; w < config_.ways; ++w) {
-        IndexEntry e = ReadEntry(bucket, w);
-        if (!e.empty()) residents.push_back(e.keyhash);
-      }
-      Hash128 victim = eviction_->VictimAmong(residents);
-      if (victim.is_zero() || !EvictKey(victim)) {
-        // Fall back to the first resident.
-        EvictKey(residents.front());
-      }
-      ++stats_.evictions_assoc;
+      EvictOne({.kind = EvictScope::kBucket, .bucket = bucket});
       free_way = FindFreeWay(bucket);
     }
-    InsertIndexed(bucket, *free_way, IndexEntry{hash, version, new_ptr});
-    if (ledger_) ledger_->Charge(tenant, hash, entry_bytes);
+    InsertIndexed(bucket, *free_way, IndexEntry{hash, version, new_ptr},
+                  tenant);
   }
 
   tombstones_.Clear(hash);
-  eviction_->OnInsert(hash);
   ++stats_.sets_applied;
   MaybeScheduleIndexResize();
   co_return true;
@@ -1062,10 +1058,6 @@ sim::Task<StatusOr<Bytes>> Backend::HandleTouch(ByteSpan req) {
   if (!blob) co_return InvalidArgumentError("Touch: missing records");
   for (const Hash128& h : proto::ParseTouchRecords(*blob)) {
     eviction_->OnTouch(h);
-    // Touches drive the per-tenant LRU too: a tenant at its memory quota
-    // evicts its own *least recently used* keys, and RMA GET recency only
-    // reaches the backend through these batched reports.
-    if (ledger_) ledger_->Touch(h);
     ++stats_.touches_ingested;
   }
   co_return Bytes{};
@@ -1537,7 +1529,7 @@ sim::Task<Status> Backend::MigrateTo(net::HostId target_host) {
     std::string key;  // overflow residents only
   };
   std::vector<Item> residents;
-  residents.reserve(live_entries_);
+  residents.reserve(live_entries());
   ForEachRecord(
       [&](const Resident& r) {
         residents.push_back({r.hash, r.slot ? std::string() : r.ov->first});
@@ -1577,7 +1569,7 @@ sim::Task<Status> Backend::MigrateTo(net::HostId target_host) {
 
 std::vector<proto::BulkRecord> Backend::SnapshotBulk() const {
   std::vector<proto::BulkRecord> out;
-  out.reserve(live_entries_ + tombstones_.size());
+  out.reserve(live_entries() + tombstones_.size());
   // Keyed tombstones travel as erased records so racing deletes cannot be
   // resurrected by a concurrent stream from another source. Keyless
   // tombstones are deliberately NOT summarized here: resharding streams are

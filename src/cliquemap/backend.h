@@ -220,7 +220,7 @@ class Backend {
   net::HostId host() const { return host_; }
   uint32_t shard() const { return shard_; }
   uint32_t config_id() const { return config_id_; }
-  size_t live_entries() const { return live_entries_; }
+  size_t live_entries() const { return locations_.size(); }
   uint64_t num_buckets() const { return num_buckets_; }
   uint64_t data_populated() const { return slab_ ? slab_->populated() : 0; }
   uint64_t data_used() const { return slab_ ? slab_->used_bytes() : 0; }
@@ -238,7 +238,7 @@ class Backend {
 
   // Multi-tenant QoS -----------------------------------------------------
   // Turns on RPC-plane admission (weighted-fair queue + per-tenant token
-  // buckets) and memory-plane accounting (per-tenant LRU containment).
+  // buckets) and memory-plane accounting (per-tenant quota containment).
   // Off by default: without it the handlers take the exact pre-tenancy
   // path, so byte streams and event orders stay bit-identical (pinned by
   // test_determinism).
@@ -246,6 +246,8 @@ class Backend {
                      AdmissionQueue::Options admission = {});
   AdmissionQueue* admission() { return admission_.get(); }
   TenantMemoryLedger* tenant_ledger() { return ledger_.get(); }
+  // The configured eviction policy (valid once started).
+  const EvictionPolicy& eviction_policy() const { return *eviction_; }
 
   // Direct (test-only) lookup of the stored version for a key.
   std::optional<VersionNumber> LookupVersion(std::string_view key) const;
@@ -335,8 +337,12 @@ class Backend {
     uint64_t bucket;
     int way;
   };
-  using OverflowTable =
-      std::unordered_map<std::string, std::pair<Bytes, VersionNumber>>;
+  struct OverflowEntry {
+    Bytes value;
+    VersionNumber version;
+    TenantId tenant = kDefaultTenant;  // charged if the key is promoted
+  };
+  using OverflowTable = std::unordered_map<std::string, OverflowEntry>;
   // Valid until the next mutation of the index or the overflow table.
   struct Resident {
     Hash128 hash;
@@ -355,15 +361,21 @@ class Backend {
   // the caller keeps alive while it uses them (DESIGN §6.7); overflow
   // views alias the table entry.
   StatusOr<DataEntryView> ReadRecord(const Resident& r, Bytes& buf) const;
-  // Removes a resident, keeping live_entries_, the eviction policy, the
-  // tenant ledger and the bucket's overflow count and flag in step.
+  // Removes a resident, keeping the eviction policy and the tenant ledger
+  // (both hold exactly the index residents) and the bucket's overflow
+  // count and flag in step.
   void RemoveResident(const Resident& r);
   // Rewrites a resident's version in place (repair's version bump).
   Status BumpResident(const Resident& r, const VersionNumber& version);
-  void InsertIndexed(uint64_t bucket, int way, const IndexEntry& entry);
-  // Inserts or overwrites an overflow entry; a key is counted once.
+  // Writes `entry` into a free slot or the key's own, recording it with the
+  // eviction policy and charging its bytes to `tenant`.
+  void InsertIndexed(uint64_t bucket, int way, const IndexEntry& entry,
+                     TenantId tenant);
+  // Inserts or overwrites an overflow entry; a key is counted once, and a
+  // tenantless write keeps the entry's tenant.
   void InsertOverflow(std::string_view key, const Hash128& hash,
-                      ByteSpan value, const VersionNumber& version);
+                      ByteSpan value, const VersionNumber& version,
+                      TenantId tenant);
   // Visits every resident (index, then overflow), then every cached
   // tombstone; the callbacks must not mutate residency.
   template <typename OnResident, typename OnTombstone>
@@ -371,8 +383,17 @@ class Backend {
 
   // Data helpers ---------------------------------------------------------
   sim::Task<StatusOr<uint64_t>> AllocateWithEviction(uint32_t size);
-  // Evicts an index resident (slot + data); false if `hash` holds none.
-  bool EvictKey(const Hash128& hash);
+  // Where a victim may come from: the pool (capacity conflict, §4.2), one
+  // bucket (associativity conflict) or one tenant's keys (quota, §7.1).
+  struct EvictScope {
+    enum Kind : uint8_t { kPool, kBucket, kTenant } kind = kPool;
+    uint64_t bucket = 0;               // kBucket
+    TenantId tenant = kDefaultTenant;  // kTenant
+    Hash128 keep = {};                 // kTenant: the key being written
+  };
+  // Evicts and counts the eviction policy's victim in `scope`; false when
+  // the scope holds no candidate.
+  bool EvictOne(const EvictScope& scope);
   void FreeData(const Pointer& ptr);
   Bytes ReadData(const Pointer& ptr) const;
 
@@ -449,7 +470,6 @@ class Backend {
   TombstoneCache tombstones_;
   // keyhash -> location, for O(1) eviction & repair snapshots.
   std::unordered_map<Hash128, Location> locations_;
-  size_t live_entries_ = 0;
   // Bucket-overflow side table (RPC-only service) and per-bucket counts.
   OverflowTable overflow_;
   std::unordered_map<uint64_t, int> overflow_count_;

@@ -10,6 +10,9 @@
 //   * Associativity conflict:  no spare IndexEntry in the key's Bucket ->
 //                              evict one of the bucket's residents
 //                              (VictimAmong()).
+//
+// A tenant at its memory quota (§7.1) evicts VictimAmong() its own keys.
+// The backend feeds the policy exactly its index residents.
 #ifndef CM_CLIQUEMAP_EVICTION_H_
 #define CM_CLIQUEMAP_EVICTION_H_
 
@@ -30,11 +33,12 @@ class EvictionPolicy {
   virtual void OnTouch(const Hash128& key) = 0;
   virtual void OnRemove(const Hash128& key) = 0;
 
-  // Global victim (capacity conflict). Zero hash when the policy tracks
-  // nothing. The caller must verify liveness and call OnRemove.
+  // Global victim (capacity conflict): a tracked key, or the zero hash when
+  // the policy tracks nothing. The caller evicts it and calls OnRemove.
   virtual Hash128 Victim() = 0;
 
-  // Victim restricted to `candidates` (associativity conflict).
+  // Victim restricted to `candidates` (associativity conflict, tenant
+  // quota); the zero hash when `candidates` is empty.
   virtual Hash128 VictimAmong(std::span<const Hash128> candidates) = 0;
 
   virtual size_t tracked() const = 0;

@@ -341,47 +341,25 @@ void TenantMemoryLedger::Configure(const TenantRegistry& reg) {
 
 void TenantMemoryLedger::Charge(TenantId tenant, const Hash128& key,
                                 uint64_t bytes) {
-  auto it = keys_.find(key);
-  if (it != keys_.end()) {
-    KeyState& ks = it->second;
-    // Tenantless writers (repair/migration streams) keep the current owner.
-    const TenantId owner = tenant == kDefaultTenant ? ks.tenant : tenant;
-    TenantState& old_ts = tenants_[ks.tenant];
-    if (owner == ks.tenant) {
-      old_ts.used += bytes;
-      old_ts.used -= ks.bytes;
-      ks.bytes = bytes;
-      old_ts.lru.splice(old_ts.lru.begin(), old_ts.lru, ks.lru_it);
-      return;
-    }
-    old_ts.used -= ks.bytes;
-    old_ts.lru.erase(ks.lru_it);
-    TenantState& new_ts = tenants_[owner];
-    new_ts.used += bytes;
-    new_ts.lru.push_front(key);
-    ks = KeyState{owner, bytes, new_ts.lru.begin()};
-    return;
-  }
+  // Tenantless writers (repair/migration streams) keep the current owner.
+  if (tenant == kDefaultTenant) tenant = OwnerOf(key);
+  Release(key);
   TenantState& ts = tenants_[tenant];
   ts.used += bytes;
-  ts.lru.push_front(key);
-  keys_.emplace(key, KeyState{tenant, bytes, ts.lru.begin()});
+  keys_[key] = KeyState{tenant, bytes, ts.keys.size()};
+  ts.keys.push_back(key);
 }
 
 void TenantMemoryLedger::Release(const Hash128& key) {
   auto it = keys_.find(key);
   if (it == keys_.end()) return;
-  TenantState& ts = tenants_[it->second.tenant];
-  ts.used -= it->second.bytes;
-  ts.lru.erase(it->second.lru_it);
+  const KeyState ks = it->second;
   keys_.erase(it);
-}
-
-void TenantMemoryLedger::Touch(const Hash128& key) {
-  auto it = keys_.find(key);
-  if (it == keys_.end()) return;
-  TenantState& ts = tenants_[it->second.tenant];
-  ts.lru.splice(ts.lru.begin(), ts.lru, it->second.lru_it);
+  TenantState& ts = tenants_[ks.tenant];
+  ts.used -= ks.bytes;
+  ts.keys[ks.at] = ts.keys.back();
+  ts.keys.pop_back();
+  if (ks.at < ts.keys.size()) keys_[ts.keys[ks.at]].at = ks.at;
 }
 
 bool TenantMemoryLedger::OverQuota(TenantId tenant,
@@ -389,13 +367,13 @@ bool TenantMemoryLedger::OverQuota(TenantId tenant,
   auto it = tenants_.find(tenant);
   if (it == tenants_.end() || it->second.quota == 0) return false;
   return it->second.used + incoming_bytes > it->second.quota &&
-         !it->second.lru.empty();
+         !it->second.keys.empty();
 }
 
-std::optional<Hash128> TenantMemoryLedger::LruVictim(TenantId tenant) const {
+std::span<const Hash128> TenantMemoryLedger::keys(TenantId tenant) const {
   auto it = tenants_.find(tenant);
-  if (it == tenants_.end() || it->second.lru.empty()) return std::nullopt;
-  return it->second.lru.back();
+  if (it == tenants_.end()) return {};
+  return it->second.keys;
 }
 
 uint64_t TenantMemoryLedger::used(TenantId tenant) const {
@@ -417,7 +395,7 @@ void TenantMemoryLedger::Clear() {
   keys_.clear();
   for (auto& [id, ts] : tenants_) {
     ts.used = 0;
-    ts.lru.clear();
+    ts.keys.clear();
   }
 }
 

@@ -12,9 +12,9 @@
 //   * RMA plane (one-sided GETs): the backend CPU never sees these reads,
 //     so the *client* polices them with token buckets provisioned from the
 //     TenantRegistry it fetches alongside the cell view.
-//   * Memory plane: a TenantMemoryLedger tracks per-tenant resident bytes;
-//     a tenant at its memory quota evicts its own LRU victims instead of
-//     squeezing neighbors.
+//   * Memory plane: a TenantMemoryLedger tracks per-tenant resident bytes
+//     and keys; a tenant at its memory quota evicts its own keys instead
+//     of squeezing neighbors.
 //
 // Tenant id 0 is the untenanted default: ops carry no tenant tag, no
 // admission state is consulted, and byte streams / event orders are
@@ -23,9 +23,8 @@
 #define CM_CLIQUEMAP_TENANCY_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -210,9 +209,10 @@ class AdmissionQueue {
   int64_t total_queued_ = 0;
 };
 
-// Per-tenant resident-byte accounting with a per-tenant LRU, keyed by the
-// same Hash128 the backend index uses. The index entry layout cannot carry
-// a tenant id (clients RMA-read it), so ownership lives heap-side here.
+// Per-tenant resident-byte accounting and ownership, keyed by the same
+// Hash128 the backend index uses. The index entry layout cannot carry a
+// tenant id (clients RMA-read it), so ownership lives heap-side here. It
+// keeps no recency: the eviction policy ranks a tenant's keys().
 class TenantMemoryLedger {
  public:
   void Configure(const TenantRegistry& reg);
@@ -223,15 +223,13 @@ class TenantMemoryLedger {
   // carry no tenant tag and must not steal ownership).
   void Charge(TenantId tenant, const Hash128& key, uint64_t bytes);
   void Release(const Hash128& key);
-  void Touch(const Hash128& key);
 
   // True when admitting `incoming_bytes` for `tenant` would exceed its
   // memory quota (and it has at least one resident key to evict).
   bool OverQuota(TenantId tenant, uint64_t incoming_bytes) const;
 
-  // The tenant's own least-recently-used resident key.
-  std::optional<Hash128> LruVictim(TenantId tenant) const;
-
+  // The tenant's resident keys, in no particular order.
+  std::span<const Hash128> keys(TenantId tenant) const;
   uint64_t used(TenantId tenant) const;
   uint64_t ResidentBytes(const Hash128& key) const;
   TenantId OwnerOf(const Hash128& key) const;
@@ -242,12 +240,12 @@ class TenantMemoryLedger {
   struct TenantState {
     uint64_t quota = 0;  // 0 = unlimited
     uint64_t used = 0;
-    std::list<Hash128> lru;  // front = most recent
+    std::vector<Hash128> keys;  // dense; removal swaps in the last key
   };
   struct KeyState {
     TenantId tenant = kDefaultTenant;
     uint64_t bytes = 0;
-    std::list<Hash128>::iterator lru_it;
+    size_t at = 0;  // position in the owner's TenantState::keys
   };
 
   std::unordered_map<TenantId, TenantState> tenants_;

@@ -2,10 +2,12 @@
 // growth, overflow fallback — driven through real cells.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <functional>
 #include <map>
 
 #include "cliquemap/cell.h"
+#include "common/rng.h"
 
 namespace cm::cliquemap {
 namespace {
@@ -38,10 +40,10 @@ struct BackendFixture : ::testing::Test {
   std::unique_ptr<Cell> cell;
   Client* client = nullptr;
 
-  void Init(CellOptions o) {
+  void Init(CellOptions o, ClientConfig cc = {}) {
     cell = std::make_unique<Cell>(sim, std::move(o));
     cell->Start();
-    client = cell->AddClient();
+    client = cell->AddClient(std::move(cc));
     ASSERT_TRUE(RunOp(sim, client->Connect()).ok());
   }
 
@@ -550,6 +552,105 @@ TEST_F(BackendFixture, TouchRpcFeedsEvictionPolicy) {
   }
   ASSERT_GT(b.stats().evictions_capacity, evictions_before);
   EXPECT_TRUE(Get("touch-0").ok());
+}
+
+// ---------------------------------------------------------------------------
+// Residency bookkeeping (DESIGN §6.4): the eviction policy and the tenant
+// ledger track exactly the index residents. Overflow keys hold neither a
+// slot nor slab bytes, so neither structure may hold them.
+// ---------------------------------------------------------------------------
+
+// One shard of 2x2 ways with the overflow fallback on, so keys overflow,
+// get promoted by index resizes and are evicted alongside index keys;
+// tenant 1 writes everything.
+CellOptions TenantOverflowCell() {
+  CellOptions o = TinyCell();
+  o.backend.initial_buckets = 2;
+  o.backend.ways = 2;
+  o.backend.rpc_fallback_on_overflow = true;
+  TenantSpec t;
+  t.id = 1;
+  t.name = "t1";
+  o.tenants.Upsert(t);
+  return o;
+}
+
+ClientConfig TenantOne() {
+  ClientConfig cc;
+  cc.tenant = 1;
+  return cc;
+}
+
+TEST_F(BackendFixture, BookkeepingMirrorsResidency) {
+  CellOptions o = TenantOverflowCell();
+  o.backend.data_initial_bytes = 64 * 1024;
+  o.backend.data_max_bytes = 64 * 1024;  // one slab: capacity evictions
+  TenantSpec t = *o.tenants.Find(1);
+  t.memory_bytes = 24 * 1024;  // tenant 1 also evicts its own keys
+  o.tenants.Upsert(t);
+  t.id = 2;
+  t.name = "t2";
+  t.memory_bytes = 0;
+  o.tenants.Upsert(t);
+  Init(std::move(o), TenantOne());
+  ClientConfig cc;
+  cc.tenant = 2;
+  Client* writers[] = {client, cell->AddClient(cc)};
+  ASSERT_TRUE(RunOp(sim, writers[1]->Connect()).ok());
+  Backend& b = cell->backend(0);
+  const TenantMemoryLedger* ledger = b.tenant_ledger();
+  ASSERT_NE(ledger, nullptr);
+
+  Rng rng(7);
+  for (int op = 0; op < 600; ++op) {
+    Client* c = writers[rng.NextBounded(2)];
+    const std::string key = "k" + std::to_string(rng.NextBounded(160));
+    const uint64_t dice = rng.NextBounded(100);
+    if (dice < 60) {
+      // 744..943-byte entries: one slab class, 59 entries to the slab.
+      const Bytes value(700 + rng.NextBounded(200), std::byte{0x5A});
+      ASSERT_TRUE(RunOp(sim, c->Set(key, value)).ok()) << op;
+    } else if (dice < 75) {
+      ASSERT_TRUE(RunOp(sim, c->Erase(key)).ok()) << op;
+    } else {
+      (void)RunOp(sim, c->Get(key));
+    }
+    if (op % 16 == 15) {
+      (void)RunOp(sim, [](Client* c) -> sim::Task<Status> {
+        co_await c->FlushTouches();
+        co_return OkStatus();
+      }(c));
+    }
+    ASSERT_EQ(b.eviction_policy().tracked(), b.live_entries()) << "op " << op;
+    ASSERT_EQ(ledger->tracked(), b.live_entries()) << "op " << op;
+  }
+  // The sequence reached every path that moves a key in or out.
+  EXPECT_GT(b.stats().overflow_inserts, 0);
+  EXPECT_GT(b.stats().index_resizes, 0);
+  EXPECT_GT(b.stats().evictions_capacity, 0);
+  EXPECT_GT(b.stats().evictions_tenant, 0);
+  EXPECT_GT(b.stats().erases_applied, 0);
+  EXPECT_GT(b.stats().touches_ingested, 0);
+}
+
+// A key that overflowed and was later promoted into a grown index is
+// charged to the tenant that wrote it.
+TEST_F(BackendFixture, PromotedKeyIsChargedToItsWriter) {
+  Init(TenantOverflowCell(), TenantOne());
+  Backend& b = cell->backend(0);
+  constexpr size_t kValueBytes = 100;
+  for (int i = 0; i < 40; ++i) {
+    char key[8];
+    std::snprintf(key, sizeof(key), "t1/k%02d", i);
+    ASSERT_TRUE(Set(key, kValueBytes).ok()) << i;
+  }
+  ASSERT_GT(b.stats().overflow_inserts, 0);
+  ASSERT_GT(b.stats().index_resizes, 0);
+  const TenantMemoryLedger* ledger = b.tenant_ledger();
+  ASSERT_NE(ledger, nullptr);
+  EXPECT_EQ(ledger->tracked(), b.live_entries());
+  // Every key has the same size, so the charge is one entry per resident.
+  EXPECT_EQ(ledger->used(1), b.live_entries() * DataEntryBytes(6, kValueBytes));
 }
 
 TEST_F(BackendFixture, InfoReportsLayout) {

@@ -225,6 +225,7 @@ class PolicyTest : public ::testing::TestWithParam<EvictionPolicyKind> {
 TEST_P(PolicyTest, EmptyPolicyHasNoVictim) {
   auto p = MakePolicy();
   EXPECT_TRUE(p->Victim().is_zero());
+  EXPECT_TRUE(p->VictimAmong({}).is_zero());
   EXPECT_EQ(p->tracked(), 0u);
 }
 

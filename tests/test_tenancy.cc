@@ -277,7 +277,7 @@ TEST(AdmissionQueue, PrioritySheddingOrderUnderOverload) {
 // TenantMemoryLedger
 // ---------------------------------------------------------------------------
 
-TEST(TenantMemoryLedger, ChargesReleasesAndPicksOwnLruVictim) {
+TEST(TenantMemoryLedger, ChargesReleasesAndMovesOwnership) {
   TenantMemoryLedger ledger;
   TenantRegistry reg;
   TenantSpec s = MakeSpec(1, "small");
@@ -291,16 +291,13 @@ TEST(TenantMemoryLedger, ChargesReleasesAndPicksOwnLruVictim) {
   EXPECT_EQ(ledger.used(1), 800u);
   EXPECT_FALSE(ledger.OverQuota(1, 100));
   EXPECT_TRUE(ledger.OverQuota(1, 400));
-  // LRU victim is the least recently charged/touched key.
-  ASSERT_TRUE(ledger.LruVictim(1).has_value());
-  EXPECT_EQ(*ledger.LruVictim(1), k1);
-  ledger.Touch(k1);
-  EXPECT_EQ(*ledger.LruVictim(1), k2);
+  EXPECT_EQ(ledger.keys(1).size(), 2u);
 
   // Re-charge replaces the size (overwrite), never double-counts.
   ledger.Charge(1, k1, 100);
   EXPECT_EQ(ledger.used(1), 500u);
   EXPECT_EQ(ledger.ResidentBytes(k1), 100u);
+  EXPECT_EQ(ledger.keys(1).size(), 2u);
 
   // A tenantless re-charge (repair stream) keeps the current owner.
   ledger.Charge(kDefaultTenant, k1, 150);
@@ -312,10 +309,17 @@ TEST(TenantMemoryLedger, ChargesReleasesAndPicksOwnLruVictim) {
   EXPECT_EQ(ledger.OwnerOf(k2), 2u);
   EXPECT_EQ(ledger.used(1), 150u);
   EXPECT_EQ(ledger.used(2), 300u);
+  ASSERT_EQ(ledger.keys(1).size(), 1u);
+  EXPECT_EQ(ledger.keys(1)[0], k1);
+  ASSERT_EQ(ledger.keys(2).size(), 1u);
+  EXPECT_EQ(ledger.keys(2)[0], k2);
 
   ledger.Release(k1);
   EXPECT_EQ(ledger.used(1), 0u);
-  EXPECT_FALSE(ledger.LruVictim(1).has_value());
+  EXPECT_TRUE(ledger.keys(1).empty());
+  EXPECT_EQ(ledger.tracked(), 1u);
+  // A tenant with nothing resident has nothing to evict: never over.
+  EXPECT_FALSE(ledger.OverQuota(1, 1 << 20));
   // Unknown tenants have no quota: never over.
   ledger.Charge(3, k3, 1 << 30);
   EXPECT_FALSE(ledger.OverQuota(3, 1 << 30));
@@ -616,6 +620,45 @@ TEST(TenancyCell, MemoryQuotaEvictsOwnKeysOnly) {
   // data + index-entry + key bytes per entry, all 12 still resident
   EXPECT_GE(ledger->used(2), 12u * (200 + 48));
   EXPECT_LE(ledger->used(2), 12u * (200 + 48 + 16));
+}
+
+// A tenant at its quota loses the victim the eviction policy picks among
+// its own keys: a re-read (touch) saves the oldest key, so the next-oldest
+// goes.
+TEST(TenancyCell, QuotaVictimFollowsTouches) {
+  sim::Simulator sim;
+  CellOptions o = TenantCell(1, ReplicationMode::kR1);
+  TenantSpec hog = MakeSpec(1, "hog");
+  hog.memory_bytes = 8 * 1024;  // room for 7 of hog's 1KB entries
+  o.tenants.Upsert(hog);
+  Cell cell(sim, std::move(o));
+  cell.Start();
+  ClientConfig cc;
+  cc.tenant = 1;
+  Client* client = cell.AddClient(cc);
+  ASSERT_TRUE(RunOp(sim, client->Connect()).ok());
+  auto set = [&](int i) {
+    return RunOp(sim, client->Set("hog/" + std::to_string(i),
+                                  Bytes(1024, std::byte{0xAA})));
+  };
+
+  for (int i = 0; i < 7; ++i) ASSERT_TRUE(set(i).ok()) << i;
+  ASSERT_EQ(cell.AggregateBackendStats().evictions_tenant, 0);
+  ASSERT_TRUE(RunOp(sim, client->Get("hog/0")).ok());
+  (void)RunOp(sim, [](Client* c) -> sim::Task<Status> {
+    co_await c->FlushTouches();
+    co_return OkStatus();
+  }(client));
+  ASSERT_GT(cell.backend(0).stats().touches_ingested, 0);
+
+  ASSERT_TRUE(set(7).ok());
+  EXPECT_EQ(cell.AggregateBackendStats().evictions_tenant, 1);
+  EXPECT_TRUE(RunOp(sim, client->Get("hog/0")).ok());
+  EXPECT_EQ(RunOp(sim, client->Get("hog/1")).status().code(),
+            StatusCode::kNotFound);
+  for (int i = 2; i < 8; ++i) {
+    EXPECT_TRUE(RunOp(sim, client->Get("hog/" + std::to_string(i))).ok()) << i;
+  }
 }
 
 // Two identical runs of a tenanted cell must produce identical results:
