@@ -3,8 +3,8 @@
 # bench pins, then a sanitizer build running the fault-injection (chaos),
 # elasticity (resharding), self-healing (health), wire-codec (proto),
 # backend residency (backend), registry-export (metrics), CRC/codec and
-# RecencyMap (codec), event-queue (sim) and eviction-policy (eviction)
-# suites, among others.
+# RecencyMap (codec), event-queue (sim), eviction-policy (eviction) and
+# RMA memory/transport (rma) suites, among others.
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast  skip the sanitizer stage (tier-1 only)
@@ -16,7 +16,7 @@ FAST=0
 
 echo "== tier-1: configure + build =="
 cmake -B build -S . >/dev/null
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 
 echo "== tier-1: full ctest =="
 (cd build && ctest --output-on-failure -j "$(nproc)")
@@ -42,7 +42,7 @@ echo "== correlated-failure survival: disaster suite =="
 echo "== examples: build + smoke-run the maintenance drill =="
 # Examples are part of the default target, but run one end-to-end so a
 # behavioral break (not just a compile break) can't silently rot them.
-cmake --build build -j --target quickstart maintenance_drill ads_serving >/dev/null
+cmake --build build -j "$(nproc)" --target quickstart maintenance_drill ads_serving >/dev/null
 ./build/examples/maintenance_drill >/dev/null \
   || { echo "maintenance_drill: non-zero exit"; exit 1; }
 
@@ -104,9 +104,9 @@ fi
 
 echo "== sanitizer (ASan/UBSan): build =="
 cmake -B build-asan -S . -DCM_SANITIZE=ON >/dev/null
-cmake --build build-asan -j
+cmake --build build-asan -j "$(nproc)"
 
-echo "== sanitizer: chaos + resharding + health + tenancy + batch + loccache + quorum + disaster + proto + backend + metrics + codec + sim + eviction labels =="
-(cd build-asan && ctest --output-on-failure -j "$(nproc)" -L 'chaos|resharding|health|tenancy|batch|loccache|quorum|disaster|proto|backend|metrics|codec|sim|eviction')
+echo "== sanitizer: chaos + resharding + health + tenancy + batch + loccache + quorum + disaster + proto + backend + metrics + codec + sim + eviction + rma labels =="
+(cd build-asan && ctest --output-on-failure -j "$(nproc)" -L 'chaos|resharding|health|tenancy|batch|loccache|quorum|disaster|proto|backend|metrics|codec|sim|eviction|rma')
 
 echo "== all checks passed =="

@@ -19,7 +19,10 @@ perfbench's measured phases).
 
 Self time goes to the innermost inlined function at the leaf address, so a
 hash-map probe inlined into its caller still shows as the probe; total and
---match count every function of each frame's inlining chain.
+--match count every function of each frame's inlining chain. A leaf without
+line info (a stripped libc, whose nearest exported symbol is usually not the
+function that ran) is named by its module under the first caller frame that
+has line info, e.g. "libc.so.6 (no line info) under DataPool::ReadAt".
 """
 
 import argparse
@@ -79,10 +82,11 @@ def function_symbols(module):
 
 
 def symbolize(addrs_by_module):
-    """{module: {file_address: [function, ...]}}, innermost inlined first,
-    via one addr2line call per module. addr2line names the outermost
-    function of an inlining chain by its bare DWARF name ("OnTouch"), so
-    that entry takes the qualified name of the enclosing symbol instead."""
+    """{module: {file_address: ([function, ...], has_line_info)}}, innermost
+    inlined first, via one addr2line call per module. addr2line names the
+    outermost function of an inlining chain by its bare DWARF name
+    ("OnTouch"), so that entry takes the qualified name of the enclosing
+    symbol instead."""
     names = {}
     for module, addrs in addrs_by_module.items():
         syms = function_symbols(module)
@@ -102,7 +106,7 @@ def symbolize(addrs_by_module):
         while k < len(out):
             addr = int(out[k], 16)
             k += 1
-            chain = table[addr] = []
+            chain, has_lines = [], False
             while k + 1 < len(out) and not out[k].startswith("0x"):
                 fn, where = out[k], out[k + 1]
                 k += 2
@@ -112,9 +116,11 @@ def symbolize(addrs_by_module):
                     chain.append(f"{fn} ({base}, nearest symbol)")
                 else:
                     chain.append(fn)
+                    has_lines = True
             i = bisect.bisect_right(starts, addr) - 1
             if chain and i >= 0 and addr < syms[i][1]:
                 chain[-1] = syms[i][2]
+            table[addr] = (chain, has_lines)
     return names
 
 
@@ -158,9 +164,21 @@ def main():
         located.append(frames)
     names = symbolize(wanted)
 
-    def chain(loc):
+    def lookup(loc):
         found = names[loc[0]].get(loc[1]) if loc else None
-        return found or ["[unknown]"]
+        return found if found and found[0] else (["[unknown]"], False)
+
+    def leaf(frames):
+        """The self-time name of a sample's leaf frame."""
+        chain, has_lines = lookup(frames[0])
+        if has_lines or frames[0] is None:
+            return chain[0]
+        for loc in frames[1:]:
+            caller, caller_has_lines = lookup(loc)
+            if caller_has_lines:
+                module = os.path.basename(frames[0][0])
+                return f"{module} (no line info) under {caller[0]}"
+        return chain[0]
 
     n = 0
     self_count = collections.Counter()
@@ -168,13 +186,12 @@ def main():
     match_count = collections.Counter()
     patterns = [m.split("=", 1) for m in args.match]
     for frames in located:
-        chains = [chain(f) for f in frames]
-        stack_names = {fn for c in chains for fn in c}
+        stack_names = {fn for f in frames for fn in lookup(f)[0]}
         if args.within and not any(re.search(args.within, fn)
                                    for fn in stack_names):
             continue
         n += 1
-        self_count[chains[0][0] if chains else "[empty]"] += 1
+        self_count[leaf(frames) if frames else "[empty]"] += 1
         for fn in stack_names:
             total_count[fn] += 1
         for label, regex in patterns:

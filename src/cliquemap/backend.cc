@@ -38,6 +38,7 @@ class Backend::IndexBuffer final : public rma::MemorySource {
 class Backend::DataPool final : public rma::MemorySource {
  public:
   explicit DataPool(uint64_t chunk_bytes) : chunk_bytes_(chunk_bytes) {}
+  ~DataPool() override { MaterializeAll(); }
 
   void EnsurePopulated(uint64_t bytes) {
     while (populated_ < bytes) {
@@ -68,10 +69,13 @@ class Backend::DataPool final : public rma::MemorySource {
     return OkStatus();
   }
 
+  // The single write funnel into the pool: pending snapshots of the bytes
+  // it overwrites are materialized first.
   Status WriteAt(uint64_t offset, ByteSpan src) {
     if (offset + src.size() > populated_) {
       return InvalidArgumentError("data write beyond populated pool");
     }
+    BeforeWrite(offset, src.size());
     uint64_t at = offset;
     size_t done = 0;
     while (done < src.size()) {
@@ -1197,14 +1201,10 @@ StatusOr<rma::ScarResult> Backend::ExecuteScar(uint64_t hash_hi,
     if (at + kIndexEntrySize > result.bucket.size()) break;
     IndexEntry e = DecodeIndexEntry(result.bucket.span().subspan(at));
     if (e.keyhash == want && !e.pointer.is_null()) {
-      // Read the DataEntry at this instant; a torn pointer or mid-write
-      // entry surfaces to the client as a checksum failure. Like the bucket,
-      // this is the single materialization copy the GET costs.
-      Buffer data = Buffer::Allocate(e.pointer.size);
-      if (data_->ReadAt(e.pointer.offset, e.pointer.size, data.data()).ok()) {
-        BufferStats::NoteCopy(e.pointer.size);
-        result.data = std::move(data).Share();
-      }
+      // The DataEntry as of this instant; a torn pointer or mid-write entry
+      // surfaces to the client as a checksum failure. It is copied only if
+      // the client reads it (one replica of R), or before a write lands.
+      result.data = data_->Defer(e.pointer.offset, e.pointer.size);
       break;
     }
   }

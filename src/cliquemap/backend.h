@@ -222,6 +222,7 @@ class Backend {
   uint32_t config_id() const { return config_id_; }
   size_t live_entries() const { return locations_.size(); }
   uint64_t num_buckets() const { return num_buckets_; }
+  rma::RegionId index_region() const { return index_region_; }
   uint64_t data_populated() const { return slab_ ? slab_->populated() : 0; }
   uint64_t data_used() const { return slab_ ? slab_->used_bytes() : 0; }
   uint64_t index_bytes() const;  // defined in .cc (IndexBuffer is private)

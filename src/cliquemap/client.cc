@@ -720,7 +720,7 @@ sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
         k.phase = Phase::kSlow;
         continue;
       }
-      settle_data(k, k.tally.winner().scar_data);
+      settle_data(k, k.tally.winner().scar_data.view());
     }
   } else {
     std::map<uint32_t, std::vector<size_t>> data_by_shard;
@@ -1033,7 +1033,7 @@ sim::Task<StatusOr<GetResult>> Client::GetOnce(const std::string& key,
       co_return AbortedError("scar returned no data");
     }
     co_await ChargeValidate(ctx.span);
-    auto res = ValidateData(winner.scar_data, key, ctx.hash,
+    auto res = ValidateData(winner.scar_data.view(), key, ctx.hash,
                             winner.entry.version);
     if (res.ok()) CacheWinningVote(ctx.hash, winner, ctx);
     co_return res;

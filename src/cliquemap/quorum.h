@@ -23,9 +23,9 @@
 #include <array>
 #include <cstdint>
 
-#include "common/buffer.h"
 #include "common/status.h"
 #include "cliquemap/layout.h"
+#include "rma/memory.h"
 
 namespace cm::cliquemap {
 
@@ -37,7 +37,7 @@ struct IndexVote {
   bool has_entry = false;
   IndexEntry entry;
   bool overflow = false;      // bucket overflow bit observed
-  BufferView scar_data;       // SCAR only: piggybacked DataEntry bytes
+  rma::Snapshot scar_data;    // SCAR only: piggybacked DataEntry bytes
 };
 
 class QuorumTally {

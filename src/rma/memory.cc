@@ -1,6 +1,127 @@
 #include "rma/memory.h"
 
+#include <cassert>
+#include <utility>
+
 namespace cm::rma {
+
+namespace internal {
+
+struct SnapCtl {
+  uint32_t refs = 1;
+  uint32_t length = 0;             // the pending range of `source`
+  uint64_t offset = 0;
+  MemorySource* source = nullptr;  // non-null while pending
+  size_t slot = 0;                 // index in source->pending_ while pending
+  BufferView bytes;                // once materialized
+};
+
+}  // namespace internal
+
+// ---------------------------------------------------------------------------
+// Snapshot
+// ---------------------------------------------------------------------------
+
+Snapshot::Snapshot(BufferView bytes) : size_(bytes.size()) {
+  if (size_ == 0) return;
+  ctl_ = new internal::SnapCtl;
+  ctl_->bytes = std::move(bytes);
+}
+
+Snapshot::Snapshot(const Snapshot& other)
+    : ctl_(other.ctl_), size_(other.size_) {
+  if (ctl_ != nullptr) ++ctl_->refs;
+}
+
+Snapshot& Snapshot::operator=(const Snapshot& other) {
+  Snapshot copy(other);
+  return *this = std::move(copy);
+}
+
+Snapshot::Snapshot(Snapshot&& other) noexcept
+    : ctl_(std::exchange(other.ctl_, nullptr)),
+      size_(std::exchange(other.size_, 0)) {}
+
+Snapshot& Snapshot::operator=(Snapshot&& other) noexcept {
+  if (this != &other) {
+    Snapshot old(std::move(*this));
+    ctl_ = std::exchange(other.ctl_, nullptr);
+    size_ = std::exchange(other.size_, 0);
+  }
+  return *this;
+}
+
+Snapshot::~Snapshot() {
+  if (ctl_ == nullptr || --ctl_->refs != 0) return;
+  // Dropped unread: nothing was copied, and nothing stays pending.
+  if (ctl_->source != nullptr) ctl_->source->Unlink(ctl_);
+  delete ctl_;
+}
+
+const BufferView& Snapshot::view() const {
+  static const BufferView kEmpty;
+  if (ctl_ == nullptr) return kEmpty;
+  if (ctl_->source != nullptr) ctl_->source->Materialize(ctl_);
+  return ctl_->bytes;
+}
+
+// ---------------------------------------------------------------------------
+// MemorySource
+// ---------------------------------------------------------------------------
+
+MemorySource::~MemorySource() {
+  // A source that Defers must MaterializeAll() in its own destructor.
+  assert(pending_.empty());
+}
+
+Snapshot MemorySource::Defer(uint64_t offset, uint32_t length) {
+  Snapshot snap;
+  if (length == 0 || offset + length > size()) return snap;
+  snap.ctl_ = new internal::SnapCtl;
+  snap.ctl_->length = length;
+  snap.ctl_->offset = offset;
+  snap.ctl_->source = this;
+  snap.ctl_->slot = pending_.size();
+  snap.size_ = length;
+  pending_.push_back(snap.ctl_);
+  return snap;
+}
+
+void MemorySource::BeforeWrite(uint64_t offset, uint64_t length) {
+  for (size_t i = 0; i < pending_.size();) {
+    internal::SnapCtl* ctl = pending_[i];
+    if (ctl->offset < offset + length && offset < ctl->offset + ctl->length) {
+      Materialize(ctl);  // swap-removes slot i: look at it again
+    } else {
+      ++i;
+    }
+  }
+}
+
+void MemorySource::MaterializeAll() {
+  while (!pending_.empty()) Materialize(pending_.back());
+}
+
+void MemorySource::Materialize(internal::SnapCtl* ctl) {
+  Buffer buf = Buffer::Allocate(ctl->length);
+  [[maybe_unused]] Status s = ReadAt(ctl->offset, ctl->length, buf.data());
+  assert(s.ok());  // Defer checked the range; sources never shrink
+  BufferStats::NoteCopy(ctl->length);
+  ctl->bytes = std::move(buf).Share();
+  Unlink(ctl);
+}
+
+void MemorySource::Unlink(internal::SnapCtl* ctl) {
+  internal::SnapCtl* last = pending_.back();
+  pending_[ctl->slot] = last;
+  last->slot = ctl->slot;
+  pending_.pop_back();
+  ctl->source = nullptr;
+}
+
+// ---------------------------------------------------------------------------
+// MemoryRegistry
+// ---------------------------------------------------------------------------
 
 RegionId MemoryRegistry::Register(const MemorySource* source, uint64_t size) {
   RegionId id = next_id_++;

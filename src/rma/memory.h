@@ -16,11 +16,15 @@
 //    views over a MemorySource whose storage may be chunked and may grow,
 //    so simulated DRAM is only consumed for populated bytes.
 //
-// Reads copy the *live* backend bytes at delivery time, so a read racing a
-// mutation observes genuinely torn state.
+// Reads copy the *live* backend bytes at the target's read instant (when
+// the target NIC executes the op, not when the reply is delivered), so a
+// read racing a mutation observes genuinely torn state. A SCAR's DataEntry
+// is a `Snapshot` of that instant: its bytes are copied only when the
+// client reads them, or just before a write would change them.
 #ifndef CM_RMA_MEMORY_H_
 #define CM_RMA_MEMORY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -34,16 +38,82 @@ namespace cm::rma {
 using RegionId = uint32_t;
 constexpr RegionId kInvalidRegion = 0;
 
+namespace internal {
+struct SnapCtl;  // refcount + pending range, or the materialized bytes
+}  // namespace internal
+
+// The bytes of [offset, offset+length) of a MemorySource as of one instant,
+// copied out only when first read (see MemorySource::Defer). Cheap to copy
+// (intrusive, unsynchronized refcount, like BufferView): every copy shares
+// the one materialization.
+class Snapshot {
+ public:
+  Snapshot() = default;
+  // Wraps bytes that are already materialized (no copy).
+  Snapshot(BufferView bytes);  // NOLINT(google-explicit-constructor)
+  Snapshot(const Snapshot& other);
+  Snapshot& operator=(const Snapshot& other);
+  Snapshot(Snapshot&& other) noexcept;
+  Snapshot& operator=(Snapshot&& other) noexcept;
+  ~Snapshot();
+
+  // Never copy.
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  // The bytes. The first call on a pending snapshot copies them out of its
+  // source (counted in BufferStats::bytes_copied); later calls, and every
+  // copy of this snapshot, share that one materialization.
+  const BufferView& view() const;
+
+ private:
+  friend class MemorySource;
+  internal::SnapCtl* ctl_ = nullptr;
+  size_t size_ = 0;
+};
+
 // Abstract byte-addressable backing store for registered windows. The
 // source must outlive every live window registered over it.
+//
+// Write contract for deferred snapshots: a source that hands out Defer()
+// snapshots calls BeforeWrite(offset, length) before every write to its
+// bytes lands, and MaterializeAll() in its own destructor while its
+// storage is still alive. Then a snapshot always shows the bytes of its
+// instant: it is copied either at view() with no overlapping write since,
+// or just before the first such write.
 class MemorySource {
  public:
-  virtual ~MemorySource() = default;
+  MemorySource() = default;
+  MemorySource(const MemorySource&) = delete;
+  MemorySource& operator=(const MemorySource&) = delete;
+  virtual ~MemorySource();
   // Copies [offset, offset+length) into dst. The range is guaranteed
   // window-bounds-checked by the registry before this is called.
   virtual Status ReadAt(uint64_t offset, uint32_t length,
                         std::byte* dst) const = 0;
   virtual uint64_t size() const = 0;
+
+  // Registers a pending snapshot of [offset, offset+length). Copies
+  // nothing; empty when the range is empty or ends beyond size().
+  Snapshot Defer(uint64_t offset, uint32_t length);
+  size_t pending_snapshots() const { return pending_.size(); }
+
+ protected:
+  // Materializes every pending snapshot overlapping [offset, offset+length)
+  // before a write to that range lands.
+  void BeforeWrite(uint64_t offset, uint64_t length);
+  // Materializes every pending snapshot. The base destructor cannot (it
+  // can no longer dispatch to ReadAt), so derived sources that Defer call
+  // this in their own destructor.
+  void MaterializeAll();
+
+ private:
+  friend class Snapshot;
+  // Copies the snapshot's bytes out and unlinks it from pending_.
+  void Materialize(internal::SnapCtl* ctl);
+  // Swap-removes the snapshot from pending_.
+  void Unlink(internal::SnapCtl* ctl);
+
+  std::vector<internal::SnapCtl*> pending_;
 };
 
 // Trivial contiguous source over caller-owned bytes (tests, simple users).

@@ -203,7 +203,7 @@ sim::Task<StatusOr<ScarResult>> SoftNicTransport::ScanAndRead(
   if (resp.corrupt && fabric_.faults() != nullptr) {
     ++stats_.corrupt_deliveries;
     if (!result->data.empty()) {
-      result->data = fabric_.faults()->CorruptCow(std::move(result->data));
+      result->data = fabric_.faults()->CorruptCow(result->data.view());
     } else if (!result->bucket.empty()) {
       result->bucket = fabric_.faults()->CorruptCow(std::move(result->bucket));
     }
@@ -392,7 +392,7 @@ SoftNicTransport::ScanAndReadV(net::HostId initiator, net::HostId target,
     if (victim != nullptr) {
       ScarResult& r = **victim;
       if (!r.data.empty()) {
-        r.data = fabric_.faults()->CorruptCow(std::move(r.data));
+        r.data = fabric_.faults()->CorruptCow(r.data.view());
       } else {
         r.bucket = fabric_.faults()->CorruptCow(std::move(r.bucket));
       }

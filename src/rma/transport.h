@@ -25,12 +25,13 @@ namespace cm::rma {
 
 // Result of the custom Scan-and-Read op (§6.3): the NIC scans the Bucket
 // server-side for the requested KeyHash and returns the Bucket plus the
-// pointed-to DataEntry in a single round trip. Both payloads are refcounted
-// views of the backend-side materialization — the transport and client
-// layers slice them without copying.
+// pointed-to DataEntry in a single round trip. The bucket is a refcounted
+// view of the backend-side materialization. The DataEntry is a Snapshot of
+// the scan instant: under R=3.2 the client validates the data of only one
+// replica, so only that replica's entry is copied, when the client reads it.
 struct ScarResult {
   BufferView bucket;
-  BufferView data;  // empty when the scan found no matching IndexEntry
+  Snapshot data;  // empty when the scan found no matching IndexEntry
 };
 
 // Installed by a backend when it co-designs with a software NIC: given the
@@ -121,7 +122,8 @@ class RmaTransport {
   // One-sided read of [offset, offset+length) in `region` on `target`.
   // `parent` (optional) nests the op's rma_read span — and the fabric tx/rx
   // spans beneath it — under the caller's trace tree. The payload is a
-  // refcounted view materialized exactly once at the target window.
+  // refcounted view materialized at most once at the target window (SCAR
+  // data only when read).
   virtual sim::Task<StatusOr<BufferView>> Read(
       net::HostId initiator, net::HostId target, RegionId region,
       uint64_t offset, uint32_t length,

@@ -653,6 +653,41 @@ TEST_F(BackendFixture, PromotedKeyIsChargedToItsWriter) {
   EXPECT_EQ(ledger->used(1), b.live_entries() * DataEntryBytes(6, kValueBytes));
 }
 
+TEST_F(BackendFixture, ScarDataShowsTheScanInstant) {
+  // A SCAR reply's DataEntry is copied out of the data pool only when the
+  // client reads it. A SET that overwrites those bytes first must not
+  // change what the reply shows: the pool copies it just before the write.
+  Init(TinyCell());
+  Backend& b = cell->backend(0);
+  const std::string key = "scanned";
+  const std::string old_value(200, 'a');
+  ASSERT_TRUE(Put(key, old_value).ok());
+  const auto old_version = b.LookupVersion(key);
+  ASSERT_TRUE(old_version.has_value());
+
+  const Hash128 hash = HashKey(key);
+  const auto len = static_cast<uint32_t>(BucketBytes(b.config().ways));
+  rma::RmaHostState* host = cell->rma_network().Find(b.host());
+  ASSERT_NE(host, nullptr);
+  auto scar = host->scar(hash.hi, hash.lo, b.index_region(),
+                         BucketIndex(hash, b.num_buckets()) * len, len);
+  ASSERT_TRUE(scar.ok()) << scar.status().ToString();
+  ASSERT_FALSE(scar->data.empty());
+
+  // Same-size SETs: the second reuses the first entry's freed slab slot
+  // and overwrites the scanned bytes in place.
+  ASSERT_TRUE(Put(key, std::string(200, 'b')).ok());
+  ASSERT_TRUE(Put(key, std::string(200, 'c')).ok());
+  const int64_t before = BufferStats::bytes_copied();
+  const BufferView& bytes = scar->data.view();
+  EXPECT_EQ(BufferStats::bytes_copied(), before);  // copied before the write
+  auto entry = DecodeDataEntry(bytes);
+  ASSERT_TRUE(entry.ok()) << entry.status().ToString();
+  EXPECT_EQ(entry->key, key);
+  EXPECT_EQ(ToString(entry->value), old_value);
+  EXPECT_EQ(entry->version, *old_version);
+}
+
 TEST_F(BackendFixture, InfoReportsLayout) {
   Init(TinyCell());
   rpc::RpcChannel ch(cell->rpc_network(), client->host(),

@@ -174,6 +174,45 @@ TEST_P(BatchTest, StrategyOverrideViaOptions) {
   for (const auto& r : batch.results) ASSERT_TRUE(r.ok());
 }
 
+TEST(BatchCopyBudget, ScarMultiGetCopiesOneDataEntryPerKey) {
+  // A batched SCAR index phase fetches every replica's DataEntry with its
+  // bucket; the data phase validates one per key, so only that one is
+  // copied out of a data pool.
+  sim::Simulator sim;
+  CellOptions opts = SmallCell(TransportKind::kSoftNic);
+  Cell cell(sim, opts);
+  cell.Start();
+  Client* client = cell.AddClient();
+  ASSERT_TRUE(RunOp(sim, client->Connect()).ok());
+  constexpr int kKeys = 8;
+  const Bytes value(4096, std::byte{0x3c});
+  std::vector<std::string> keys;
+  for (int i = 0; i < kKeys; ++i) {
+    keys.push_back("copy" + std::to_string(i));
+    ASSERT_TRUE(RunOp(sim, client->Set(keys.back(), value)).ok()) << i;
+  }
+  ASSERT_TRUE(RunOp(sim, client->MultiGet(keys)).stats.batched);
+
+  const int64_t scars_before = cell.transport()->stats().vector_scars;
+  const int64_t before = BufferStats::bytes_copied();
+  auto batch = RunOp(sim, client->MultiGet(keys));
+  const int64_t copied = BufferStats::bytes_copied() - before;
+  ASSERT_TRUE(batch.stats.batched);
+  EXPECT_EQ(batch.stats.slowpath_keys, 0);
+  EXPECT_GT(cell.transport()->stats().vector_scars, scars_before);
+  for (const auto& r : batch.results) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->value, value);
+  }
+
+  const int64_t replicas = ReplicaCount(opts.mode);
+  const int64_t bucket = int64_t(BucketBytes(opts.backend.ways));
+  const int64_t framing = 512;
+  EXPECT_GE(copied, kKeys * int64_t(value.size()));
+  EXPECT_LE(copied,
+            kKeys * (replicas * bucket + int64_t(value.size()) + framing));
+}
+
 INSTANTIATE_TEST_SUITE_P(Transports, BatchTest,
                          ::testing::Values(TransportKind::kSoftNic,
                                            TransportKind::kOneRma),

@@ -485,6 +485,38 @@ TEST(ZeroCopyGetPath, ValueBytesAreMaterializedAtMostOnce) {
             BufferStats::bytes_copied());
 }
 
+TEST(ZeroCopyGetPath, ScarGetCopiesOneDataEntry) {
+  // SCAR over the software NIC at R=3.2: every replica returns its bucket
+  // and its DataEntry in one round trip, but the client validates the data
+  // of one replica only, so only that DataEntry is copied out of a data
+  // pool. The other replicas' entries are dropped unread.
+  sim::Simulator sim;
+  CellOptions opts = SmallCell(ReplicationMode::kR32, TransportKind::kSoftNic);
+  Cell cell(sim, opts);
+  cell.Start();
+  Client* client = cell.AddClient();
+  ASSERT_TRUE(RunOp(sim, client->Connect()).ok());
+
+  const std::string key = "scar-copy-key";
+  const Bytes value(4096, std::byte{0x24});
+  ASSERT_TRUE(RunOp(sim, client->Set(key, value)).ok());
+  ASSERT_TRUE(RunOp(sim, client->Get(key)).ok());
+
+  const int64_t scars_before = cell.transport()->stats().scars;
+  const int64_t before = BufferStats::bytes_copied();
+  auto got = RunOp(sim, client->Get(key));
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->value, value);
+  const int64_t copied = BufferStats::bytes_copied() - before;
+
+  const int64_t replicas = ReplicaCount(opts.mode);
+  ASSERT_EQ(cell.transport()->stats().scars - scars_before, replicas);
+  const int64_t bucket = int64_t(BucketBytes(opts.backend.ways));
+  const int64_t framing = 512;
+  EXPECT_GE(copied, int64_t(value.size()));
+  EXPECT_LE(copied, replicas * bucket + int64_t(value.size()) + framing);
+}
+
 // ---------------------------------------------------------------------------
 // Registry exports (DESIGN.md §9)
 // ---------------------------------------------------------------------------

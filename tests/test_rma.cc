@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "rma/hwrma.h"
 #include "rma/memory.h"
 #include "rma/softnic.h"
@@ -82,6 +85,150 @@ TEST(MemoryRegistry, WindowSeesLiveGrowth) {
 }
 
 // ---------------------------------------------------------------------------
+// Snapshot: deferred copies of a MemorySource
+// ---------------------------------------------------------------------------
+
+// A writable source that keeps the BeforeWrite contract, like the backend's
+// data pool.
+class WritableSource final : public MemorySource {
+ public:
+  explicit WritableSource(size_t n) : bytes_(n) {
+    for (size_t i = 0; i < n; ++i) bytes_[i] = static_cast<std::byte>(i);
+  }
+  ~WritableSource() override { MaterializeAll(); }
+
+  Status ReadAt(uint64_t offset, uint32_t length,
+                std::byte* dst) const override {
+    if (offset + length > bytes_.size()) {
+      return InvalidArgumentError("read beyond source");
+    }
+    std::memcpy(dst, bytes_.data() + offset, length);
+    return OkStatus();
+  }
+  uint64_t size() const override { return bytes_.size(); }
+
+  void Fill(uint64_t offset, uint64_t length, std::byte v) {
+    BeforeWrite(offset, length);
+    std::memset(bytes_.data() + offset, static_cast<int>(v), length);
+  }
+
+ private:
+  std::vector<std::byte> bytes_;
+};
+
+std::vector<std::byte> Expected(uint64_t offset, uint32_t length) {
+  std::vector<std::byte> out(length);
+  for (uint32_t i = 0; i < length; ++i) {
+    out[i] = static_cast<std::byte>(offset + i);
+  }
+  return out;
+}
+
+bool Shows(const Snapshot& snap, const std::vector<std::byte>& want) {
+  const BufferView& v = snap.view();
+  return v.size() == want.size() &&
+         std::equal(v.begin(), v.end(), want.begin());
+}
+
+TEST(Snapshot, OverlappingWriteKeepsTheOldBytes) {
+  WritableSource src(256);
+  Snapshot snap = src.Defer(64, 32);
+  EXPECT_EQ(snap.size(), 32u);
+  EXPECT_EQ(src.pending_snapshots(), 1u);
+  const int64_t before = BufferStats::bytes_copied();
+  src.Fill(80, 4, std::byte{0xEE});  // lands inside the snapshot
+  EXPECT_EQ(src.pending_snapshots(), 0u);
+  EXPECT_EQ(BufferStats::bytes_copied() - before, 32);
+  EXPECT_TRUE(Shows(snap, Expected(64, 32)));
+  EXPECT_EQ(BufferStats::bytes_copied() - before, 32);  // view() reuses it
+}
+
+TEST(Snapshot, AdjacentWritesLeaveItPending) {
+  WritableSource src(256);
+  Snapshot snap = src.Defer(64, 32);
+  const int64_t before = BufferStats::bytes_copied();
+  src.Fill(32, 32, std::byte{0xEE});  // ends exactly at the start
+  src.Fill(96, 16, std::byte{0xEE});  // starts exactly at the end
+  src.Fill(64, 0, std::byte{0xEE});   // empty write inside
+  EXPECT_EQ(src.pending_snapshots(), 1u);
+  EXPECT_EQ(BufferStats::bytes_copied(), before);
+  EXPECT_TRUE(Shows(snap, Expected(64, 32)));
+  EXPECT_EQ(BufferStats::bytes_copied() - before, 32);
+  EXPECT_EQ(src.pending_snapshots(), 0u);
+}
+
+TEST(Snapshot, DroppedUnreadCopiesNothing) {
+  WritableSource src(256);
+  const int64_t before = BufferStats::bytes_copied();
+  {
+    Snapshot snap = src.Defer(0, 128);
+    Snapshot copy = snap;  // shares the pending state
+    EXPECT_EQ(copy.size(), 128u);
+    EXPECT_FALSE(copy.empty());
+    EXPECT_EQ(src.pending_snapshots(), 1u);
+  }
+  EXPECT_EQ(src.pending_snapshots(), 0u);
+  src.Fill(0, 256, std::byte{0xEE});
+  EXPECT_EQ(BufferStats::bytes_copied(), before);
+}
+
+TEST(Snapshot, RepeatedAndSharedViewsCopyOnce) {
+  WritableSource src(256);
+  Snapshot snap = src.Defer(16, 64);
+  Snapshot copy = snap;
+  const int64_t before = BufferStats::bytes_copied();
+  const BufferView first = snap.view();
+  const BufferView second = snap.view();
+  EXPECT_EQ(first.data(), second.data());
+  EXPECT_EQ(copy.view().data(), first.data());
+  EXPECT_EQ(BufferStats::bytes_copied() - before, 64);
+  EXPECT_TRUE(Shows(copy, Expected(16, 64)));
+}
+
+TEST(Snapshot, OneWriteMaterializesEveryOverlap) {
+  // Three pending snapshots; one write overlaps the first and the last, so
+  // the scan swap-removes the first and must still find the last, which
+  // was moved into its slot.
+  WritableSource src(256);
+  Snapshot a = src.Defer(0, 16);
+  Snapshot b = src.Defer(128, 16);
+  Snapshot c = src.Defer(8, 16);
+  const int64_t before = BufferStats::bytes_copied();
+  src.Fill(0, 20, std::byte{0xEE});
+  EXPECT_EQ(src.pending_snapshots(), 1u);
+  EXPECT_EQ(BufferStats::bytes_copied() - before, 32);
+  EXPECT_TRUE(Shows(a, Expected(0, 16)));
+  EXPECT_TRUE(Shows(c, Expected(8, 16)));
+  EXPECT_EQ(BufferStats::bytes_copied() - before, 32);
+  src.Fill(128, 1, std::byte{0xEE});
+  EXPECT_EQ(src.pending_snapshots(), 0u);
+  EXPECT_TRUE(Shows(b, Expected(128, 16)));
+}
+
+TEST(Snapshot, OutlivesItsSource) {
+  Snapshot snap;
+  {
+    WritableSource src(256);
+    snap = src.Defer(200, 40);
+  }
+  EXPECT_TRUE(Shows(snap, Expected(200, 40)));
+}
+
+TEST(Snapshot, WrapsMaterializedBytesAndEmptyRanges) {
+  const int64_t before = BufferStats::bytes_copied();
+  Snapshot wrapped = BufferView(cm::ToBytes("abc"));
+  EXPECT_EQ(cm::ToString(wrapped.view()), "abc");
+  EXPECT_EQ(BufferStats::bytes_copied(), before);
+  Snapshot none;
+  EXPECT_TRUE(none.empty());
+  EXPECT_TRUE(none.view().empty());
+  WritableSource src(16);
+  EXPECT_TRUE(src.Defer(4, 0).empty());
+  EXPECT_TRUE(src.Defer(10, 8).empty());  // ends beyond the source
+  EXPECT_EQ(src.pending_snapshots(), 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Transports
 // ---------------------------------------------------------------------------
 
@@ -157,7 +304,7 @@ TEST_F(RmaFixture, SoftNicScarExecutesInstalledExecutor) {
                   -> StatusOr<ScarResult> {
         EXPECT_EQ(hi, 0xAAu);
         EXPECT_EQ(lo, 0xBBu);
-        return ScarResult{cm::ToBytes("bucket"), cm::ToBytes("data")};
+        return ScarResult{cm::ToBytes("bucket"), BufferView(cm::ToBytes("data"))};
       });
   StatusOr<ScarResult> out = InternalError("never ran");
   sim.Spawn([](SoftNicTransport& t, net::HostId c, net::HostId s, RegionId r,
@@ -167,7 +314,7 @@ TEST_F(RmaFixture, SoftNicScarExecutesInstalledExecutor) {
   sim.Run();
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(cm::ToString(out->bucket), "bucket");
-  EXPECT_EQ(cm::ToString(out->data), "data");
+  EXPECT_EQ(cm::ToString(out->data.view()), "data");
   EXPECT_EQ(t.stats().scars, 1);
 }
 
