@@ -92,9 +92,8 @@ CpuCosts MeasureMsg(int ops) {
 
   const metrics::Snapshot before = fabric.metrics().TakeSnapshot();
   for (int i = 0; i < ops; ++i) {
-    auto r = RunOp(sim, [](sim::Simulator& sim, net::Fabric& fabric,
-                           rma::SoftNicTransport& nic, net::HostId client,
-                           net::HostId server,
+    auto r = RunOp(sim, [](net::Fabric& fabric, rma::SoftNicTransport& nic,
+                           net::HostId client, net::HostId server,
                            auto& handler) -> sim::Task<StatusOr<Bytes>> {
       // Two-sided on the client too: the caller thread blocks and must be
       // woken to consume the response.
@@ -103,7 +102,7 @@ CpuCosts MeasureMsg(int ops) {
                                     handler, sim::Microseconds(1));
       co_await fabric.host(client).cpu().Run(sim::Microseconds(1));
       co_return r;
-    }(sim, fabric, nic, client, server, handler));
+    }(fabric, nic, client, server, handler));
     if (!r.ok()) std::abort();
   }
   const metrics::Snapshot after = fabric.metrics().TakeSnapshot();

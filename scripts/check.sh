@@ -14,8 +14,11 @@ cd "$(dirname "$0")/.."
 FAST=0
 [[ "${1:-}" == "--fast" ]] && FAST=1
 
-echo "== tier-1: configure + build =="
-cmake -B build -S . >/dev/null
+echo "== tier-1: configure + build (warnings are errors) =="
+# The tier-1 build prints no warnings; -Werror keeps it that way, so a new
+# one fails here instead of scrolling past. The CMake defaults (and the
+# perfbench build) stay without it.
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j "$(nproc)"
 
 echo "== tier-1: full ctest =="
@@ -62,8 +65,9 @@ done
   || { echo "fig07 --json: missing registry attribution"; exit 1; }
 
 echo "== perf gate: simulator-core wall-clock scalars vs baseline =="
-# Warns past 1.3x drift (noise/minor regressions stay non-fatal); fails the
-# gate only past 2x — a real scheduler or payload-path regression. Only
+# Compares the median of 3 runs. Warns past 1.3x drift (noise/minor
+# regressions stay non-fatal); fails the gate only past 2x — a real
+# scheduler or payload-path regression. Only
 # bench_simcore is ratio-gated: its scalars are wall-clock. Every gated
 # sim-time scalar is an exact pin in the next stage instead.
 scripts/perf_gate.sh simcore

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Perf-regression gate: re-runs selected bench binaries and diffs every
 # cm.bench.v1 scalar against the committed BENCH_<name>.json baseline.
+# Each bench runs RUNS (3) times and the gate compares each scalar's
+# median: one run of a wall-clock bench can read ~1.9x its baseline on host
+# speed alone.
 #
 # Direction is inferred from the scalar name:
 #   *_per_sec / *per_second / *throughput* / *success_ratio*  -> higher is
@@ -24,6 +27,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JQ=/usr/bin/jq
+RUNS=3
 WARN_RATIO="${PERF_GATE_WARN:-1.3}"
 FAIL_RATIO="${PERF_GATE_FAIL:-2.0}"
 
@@ -45,15 +49,23 @@ for spec in "${benches[@]}"; do
     echo "perf_gate: no baseline ${baseline}; run EXPERIMENTS.md regeneration"
     continue
   fi
-  echo "perf_gate: ${name}${filter:+ [scalars ~ ${filter}]} (warn >${WARN_RATIO}x, fail >${FAIL_RATIO}x)"
+  echo "perf_gate: ${name}${filter:+ [scalars ~ ${filter}]} (median of ${RUNS} runs; warn >${WARN_RATIO}x, fail >${FAIL_RATIO}x)"
   # Documents with full metric snapshots can exceed the kernel's per-argv
-  # limit, so the current run goes through a file (--slurpfile), not
-  # --argjson.
-  current="$(mktemp)"
-  trap 'rm -f "$current"' EXIT
-  "$bin" --json > "$current"
-  "$JQ" -e '.schema == "cm.bench.v1"' "$current" >/dev/null \
-    || { echo "  ${bin} --json: bad schema"; exit 1; }
+  # limit, so the runs go through files (--slurpfile), not --argjson.
+  runs="$(mktemp -d)"
+  current="${runs}/median.json"
+  trap 'rm -rf "$runs"' EXIT
+  for ((i = 0; i < RUNS; ++i)); do
+    "$bin" --json > "${runs}/run${i}.json"
+    "$JQ" -e '.schema == "cm.bench.v1"' "${runs}/run${i}.json" >/dev/null \
+      || { echo "  ${bin} --json: bad schema"; exit 1; }
+  done
+  # The median of each scalar over the runs that report it.
+  "$JQ" -s '{schema: .[0].schema, scalars: (
+      . as $docs | [$docs[].scalars | keys[]] | unique
+      | map(. as $k | [$docs[].scalars[$k] | select(. != null)] | sort
+            | {key: $k, value: .[(length - 1) / 2 | floor]})
+      | from_entries)}' "${runs}"/run*.json > "$current"
 
   # Emit "key old new" for every scalar present in both documents.
   compared=0
@@ -102,7 +114,7 @@ for spec in "${benches[@]}"; do
       | select($curs[.key] != null)
       | select($flt == "" or (.key | test($flt)))
       | "\(.key) \(.value) \($curs[.key])"' "$baseline")
-  rm -f "$current"
+  rm -rf "$runs"
   if [[ "$compared" == "0" ]]; then
     echo "  FAIL: no scalars compared (stale baseline or bad filter?)"
     fail=1

@@ -147,14 +147,16 @@ struct GetResult {
 // Per-op overrides threaded through Get/MultiGet/Set/Erase/Cas: the options
 // struct that replaced the growing positional-parameter internals. A zero /
 // nullopt field defers to ClientConfig, so `{}` is exactly the old behavior.
+// Every field has a default member initializer, so a designated initializer
+// such as `{.degraded = true}` may name any subset of them.
 struct GetOptions {
-  sim::Duration deadline = 0;              // 0 → ClientConfig::op_deadline
-  uint32_t tenant = 0;                     // 0 → ClientConfig::tenant
-  std::optional<LookupStrategy> strategy;  // GET index-fetch strategy
-  std::optional<bool> hedge_reads;         // hedged data fetch (GET)
-  std::optional<bool> batch;               // MultiGet: batched pipeline
-  std::optional<bool> speculate;           // 1-RMA speculative fast path
-  std::optional<bool> degraded;            // sub-quorum degraded reads (GET)
+  sim::Duration deadline = 0;                // 0 → ClientConfig::op_deadline
+  uint32_t tenant = 0;                       // 0 → ClientConfig::tenant
+  std::optional<LookupStrategy> strategy{};  // GET index-fetch strategy
+  std::optional<bool> hedge_reads{};         // hedged data fetch (GET)
+  std::optional<bool> batch{};               // MultiGet: batched pipeline
+  std::optional<bool> speculate{};           // 1-RMA speculative fast path
+  std::optional<bool> degraded{};            // sub-quorum degraded reads (GET)
 };
 using OpOptions = GetOptions;
 

@@ -12,6 +12,13 @@
 //   │     └─ fabric_rx          (delivery at dst)
 //   └─ validate                 (client-side hit conditions)
 //
+//   multiget                    (client root, batched pipeline)
+//   └─ rma_readv / rma_scarv    (one vectored op per backend and phase)
+//
+// Transport ops end with the payload bytes they delivered as the argument,
+// or -1 when they failed. SoftNIC's two-sided `rma_msg` (the MSG lookup
+// strategy of Fig 7) ends with the response size.
+//
 // Determinism: completed spans fold into a rolling FNV-1a fingerprint (the
 // same construction as net::FaultPlan's fault fingerprint), so two runs with
 // the same seed must produce bit-identical fingerprints — chaos tests assert

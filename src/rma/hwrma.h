@@ -19,18 +19,12 @@
 
 namespace cm::rma {
 
-struct HwRmaConfig {
+struct HwRmaConfig : WireConfig {
   // Fixed NIC pipeline latency per op, each side.
   sim::Duration nic_pipeline_latency = sim::Nanoseconds(300);
   // PCIe read of the target memory: DMA setup + payload at pcie_gbps.
   sim::Duration pcie_base_latency = sim::Nanoseconds(600);
   double pcie_gbps = 128.0;
-  int64_t command_bytes = 64;
-  int64_t response_header_bytes = 32;
-  // Per-entry descriptor bytes for vectored reads (hardware scatter list).
-  int64_t vector_entry_bytes = 16;
-  // Completion timeout for commands/completions lost under fault injection.
-  sim::Duration op_timeout = sim::Milliseconds(1);
 
   static HwRmaConfig OneRma() { return HwRmaConfig{}; }
   static HwRmaConfig ClassicRdma() {
@@ -42,33 +36,13 @@ struct HwRmaConfig {
   }
 };
 
-class HwRmaTransport : public RmaTransport {
+class HwRmaTransport : public OneSidedTransport {
  public:
   HwRmaTransport(net::Fabric& fabric, RmaNetwork& rma_network,
                  const HwRmaConfig& config = HwRmaConfig::OneRma());
 
-  bool SupportsScar() const override { return false; }
-
-  sim::Task<StatusOr<BufferView>> Read(
-      net::HostId initiator, net::HostId target, RegionId region,
-      uint64_t offset, uint32_t length,
-      trace::SpanId parent = trace::kNoSpan) override;
-
-  sim::Task<StatusOr<ScarResult>> ScanAndRead(
-      net::HostId, net::HostId, RegionId, uint64_t, uint32_t, uint64_t,
-      uint64_t, trace::SpanId parent = trace::kNoSpan) override;
-
-  sim::Task<StatusOr<std::vector<StatusOr<BufferView>>>> ReadV(
-      net::HostId initiator, net::HostId target,
-      std::vector<ReadVEntry> entries,
-      trace::SpanId parent = trace::kNoSpan) override;
-
   // Hardware offers no SCAR, vectored or not.
-  sim::Task<StatusOr<std::vector<StatusOr<ScarResult>>>> ScanAndReadV(
-      net::HostId, net::HostId, std::vector<ScarVEntry>,
-      trace::SpanId parent = trace::kNoSpan) override;
-
-  const RmaStats& stats() const override { return stats_; }
+  bool SupportsScar() const override { return false; }
 
   // Hardware-emitted fabric+PCIe latency per op (Fig 16's heatmap source).
   const Histogram& hw_timestamps() const { return hw_timestamps_; }
@@ -78,12 +52,14 @@ class HwRmaTransport : public RmaTransport {
   // Per-target-host PCIe serialization resource.
   net::NicSide& pcie(net::HostId host);
 
-  net::Fabric& fabric_;
-  RmaNetwork& rma_network_;
+  sim::Time PostDone(net::HostId initiator) override;
+  sim::Time ReadWorkDone(net::HostId target,
+                         std::span<const ReadVEntry> entries) override;
+  std::optional<sim::Time> CompletionDone(net::HostId initiator,
+                                          sim::Time posted) override;
+
   HwRmaConfig config_;
-  RmaStats stats_;
   Histogram hw_timestamps_;
-  metrics::ExportGroup exports_;
   std::vector<std::unique_ptr<net::NicSide>> pcie_;
 };
 

@@ -17,7 +17,7 @@
 
 namespace cm::rma {
 
-struct SoftNicConfig {
+struct SoftNicConfig : WireConfig {
   // Engine service times.
   sim::Duration initiator_op_cost = sim::Nanoseconds(350);
   sim::Duration target_read_cost = sim::Nanoseconds(420);
@@ -26,21 +26,13 @@ struct SoftNicConfig {
   // Two-sided messaging: the engine must wake a server application thread.
   sim::Duration target_msg_wake_cost = sim::Microseconds(2);
 
-  // Completion timeout: a command or completion lost in the fabric (fault
-  // injection) surfaces as a failed op this long after the loss.
-  sim::Duration op_timeout = sim::Milliseconds(1);
-
   int max_engines = 4;
   sim::Duration scale_window = sim::Milliseconds(1);
   double scale_out_threshold = 0.80;   // window utilization to add an engine
   double scale_in_threshold = 0.25;    // to retire one
-  int64_t command_bytes = 64;
-  int64_t response_header_bytes = 32;
 
-  // Vectored ops (ReadV/ScanAndReadV): the doorbell and header are paid
-  // once; each additional entry adds only a descriptor on the wire and an
-  // incremental slice of engine time — the amortization MultiGet exploits.
-  int64_t vector_entry_bytes = 16;
+  // Each vector entry past the first adds an incremental slice of engine
+  // time, not a full service time: the amortization MultiGet exploits.
   sim::Duration target_vector_entry_cost = sim::Nanoseconds(120);
 };
 
@@ -69,32 +61,12 @@ class EngineGroup {
   int64_t window_busy_ns_ = 0;
 };
 
-class SoftNicTransport : public RmaTransport {
+class SoftNicTransport : public OneSidedTransport {
  public:
   SoftNicTransport(net::Fabric& fabric, RmaNetwork& rma_network,
                    const SoftNicConfig& config = {});
 
   bool SupportsScar() const override { return true; }
-
-  sim::Task<StatusOr<BufferView>> Read(
-      net::HostId initiator, net::HostId target, RegionId region,
-      uint64_t offset, uint32_t length,
-      trace::SpanId parent = trace::kNoSpan) override;
-
-  sim::Task<StatusOr<ScarResult>> ScanAndRead(
-      net::HostId initiator, net::HostId target, RegionId index_region,
-      uint64_t bucket_offset, uint32_t bucket_len, uint64_t hash_hi,
-      uint64_t hash_lo, trace::SpanId parent = trace::kNoSpan) override;
-
-  sim::Task<StatusOr<std::vector<StatusOr<BufferView>>>> ReadV(
-      net::HostId initiator, net::HostId target,
-      std::vector<ReadVEntry> entries,
-      trace::SpanId parent = trace::kNoSpan) override;
-
-  sim::Task<StatusOr<std::vector<StatusOr<ScarResult>>>> ScanAndReadV(
-      net::HostId initiator, net::HostId target,
-      std::vector<ScarVEntry> entries,
-      trace::SpanId parent = trace::kNoSpan) override;
 
   // Two-sided messaging lookup path (the MSG strategy of Fig 7): delivers a
   // request to a host-CPU handler after an engine + thread-wake cost.
@@ -104,17 +76,21 @@ class SoftNicTransport : public RmaTransport {
       sim::Duration handler_cpu_cost,
       trace::SpanId parent = trace::kNoSpan);
 
-  const RmaStats& stats() const override { return stats_; }
-
   // Per-host engine introspection (Fig 15 heatmap).
   EngineGroup& engines(net::HostId host);
 
  private:
-  net::Fabric& fabric_;
-  RmaNetwork& rma_network_;
+  // Each phase books engine time on one host's group, charged to `nic_ns`.
+  sim::Time Book(net::HostId host, sim::Duration cost, int64_t& nic_ns);
+  sim::Time PostDone(net::HostId initiator) override;
+  sim::Time ReadWorkDone(net::HostId target,
+                         std::span<const ReadVEntry> entries) override;
+  sim::Time ScarWorkDone(net::HostId target,
+                         std::span<const ScarVEntry> entries) override;
+  std::optional<sim::Time> CompletionDone(net::HostId initiator,
+                                          sim::Time posted) override;
+
   SoftNicConfig config_;
-  RmaStats stats_;
-  metrics::ExportGroup exports_;
   std::vector<std::unique_ptr<EngineGroup>> engines_;
 };
 

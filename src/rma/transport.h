@@ -10,6 +10,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -61,6 +64,9 @@ class RmaNetwork {
   }
   void Detach(net::HostId host) { hosts_.erase(host); }
 
+  // The returned state lives only until the host detaches, which a
+  // backend's Stop() or Crash() can do while any op is suspended: never
+  // hold it across a co_await; look the host up again after one.
   RmaHostState* Find(net::HostId host) {
     auto it = hosts_.find(host);
     return it == hosts_.end() ? nullptr : &it->second;
@@ -86,6 +92,18 @@ struct ScarVEntry {
   uint32_t bucket_len = 0;
   uint64_t hash_hi = 0;
   uint64_t hash_lo = 0;
+};
+
+// Framing and loss timing of every one-sided transport (its config's base).
+struct WireConfig {
+  int64_t command_bytes = 64;
+  int64_t response_header_bytes = 32;
+  // Vectored ops (ReadV/ScanAndReadV) pay the doorbell and header once; each
+  // entry past the first adds only a descriptor on the wire.
+  int64_t vector_entry_bytes = 16;
+  // A command or completion lost in the fabric (fault injection) surfaces
+  // as a failed op this long after the loss.
+  sim::Duration op_timeout = sim::Milliseconds(1);
 };
 
 // Transport counters, exported as cm.rma.<field>{transport=...}.
@@ -153,6 +171,74 @@ class RmaTransport {
       trace::SpanId parent = trace::kNoSpan) = 0;
 
   virtual const RmaStats& stats() const = 0;
+};
+
+// The one-sided op engine both transports share. Read, ReadV, ScanAndRead
+// and ScanAndReadV each run one coroutine through the same phases: post
+// (PostDone), command, target work (ReadWorkDone / ScarWorkDone), resolve,
+// response and completion (CompletionDone). A lost or CRC-rejected command
+// and a lost completion fail the op after op_timeout; a corrupt completion
+// is delivered with one payload bit-flipped. The target host is looked up
+// only after its work. A transport supplies just the timing hooks, each of
+// which books its phase's NIC resources and returns when the phase ends.
+// Each op's own rules (span, counters, 4 B per vector slot, which
+// corruption counts) follow from its result type.
+class OneSidedTransport : public RmaTransport {
+ public:
+  sim::Task<StatusOr<BufferView>> Read(
+      net::HostId initiator, net::HostId target, RegionId region,
+      uint64_t offset, uint32_t length,
+      trace::SpanId parent = trace::kNoSpan) final;
+  sim::Task<StatusOr<ScarResult>> ScanAndRead(
+      net::HostId initiator, net::HostId target, RegionId index_region,
+      uint64_t bucket_offset, uint32_t bucket_len, uint64_t hash_hi,
+      uint64_t hash_lo, trace::SpanId parent = trace::kNoSpan) final;
+  sim::Task<StatusOr<std::vector<StatusOr<BufferView>>>> ReadV(
+      net::HostId initiator, net::HostId target,
+      std::vector<ReadVEntry> entries,
+      trace::SpanId parent = trace::kNoSpan) final;
+  sim::Task<StatusOr<std::vector<StatusOr<ScarResult>>>> ScanAndReadV(
+      net::HostId initiator, net::HostId target,
+      std::vector<ScarVEntry> entries,
+      trace::SpanId parent = trace::kNoSpan) final;
+
+  const RmaStats& stats() const final { return stats_; }
+
+ protected:
+  // Exports stats_ as cm.rma.<field>{transport=`label`}.
+  OneSidedTransport(net::Fabric& fabric, RmaNetwork& rma_network,
+                    const char* label, const WireConfig& wire);
+
+  virtual sim::Time PostDone(net::HostId initiator) = 0;
+  virtual sim::Time ReadWorkDone(net::HostId target,
+                                 std::span<const ReadVEntry> entries) = 0;
+  // Transports without SCAR never reach this: the engine refuses their
+  // SCARs before posting.
+  virtual sim::Time ScarWorkDone(net::HostId target,
+                                 std::span<const ScarVEntry> entries);
+  // nullopt: completion adds no wait. `posted` is when the op began.
+  virtual std::optional<sim::Time> CompletionDone(net::HostId initiator,
+                                                  sim::Time posted) = 0;
+
+  // Failure tails: count the failed op and end its span after op_timeout
+  // (nothing ever completes) or a header-only refusal. They return nothing,
+  // which keeps the awaiting op's coroutine frame small.
+  sim::Task<void> TimedOut(trace::SpanId span);
+  sim::Task<void> Refused(net::HostId target, net::HostId initiator,
+                          trace::SpanId span);
+
+  net::Fabric& fabric_;
+  RmaNetwork& rma_network_;
+  RmaStats stats_;
+  metrics::ExportGroup exports_;
+
+ private:
+  // The engine; `Request` is one entry or a vector of them.
+  template <class Out, class Request>
+  sim::Task<StatusOr<Out>> Run(net::HostId initiator, net::HostId target,
+                               Request request, trace::SpanId parent);
+
+  const WireConfig wire_;
 };
 
 }  // namespace cm::rma

@@ -8,21 +8,10 @@
 
 #include "cliquemap/cell.h"
 #include "common/rng.h"
+#include "test_util.h"
 
 namespace cm::cliquemap {
 namespace {
-
-template <typename T>
-T RunOp(sim::Simulator& sim, sim::Task<T> task) {
-  auto out = std::make_shared<std::optional<T>>();
-  sim.Spawn([](sim::Task<T> t,
-               std::shared_ptr<std::optional<T>> out) -> sim::Task<void> {
-    *out = co_await std::move(t);
-  }(std::move(task), out));
-  sim.Run();
-  EXPECT_TRUE(out->has_value());
-  return **out;
-}
 
 CellOptions TinyCell() {
   CellOptions o;
@@ -537,10 +526,7 @@ TEST_F(BackendFixture, TouchRpcFeedsEvictionPolicy) {
   }
   for (int round = 0; round < 5; ++round) {
     ASSERT_TRUE(Get("touch-0").ok());
-    RunOp(sim, [](Client* c) -> sim::Task<Status> {
-      co_await c->FlushTouches();
-      co_return OkStatus();
-    }(client));
+    RunOp(sim, client->FlushTouches());
   }
   EXPECT_GT(b.stats().touches_ingested, 0);
   // Now force some evictions (fewer than the pool holds): the repeatedly
@@ -616,10 +602,7 @@ TEST_F(BackendFixture, BookkeepingMirrorsResidency) {
       (void)RunOp(sim, c->Get(key));
     }
     if (op % 16 == 15) {
-      (void)RunOp(sim, [](Client* c) -> sim::Task<Status> {
-        co_await c->FlushTouches();
-        co_return OkStatus();
-      }(c));
+      RunOp(sim, c->FlushTouches());
     }
     ASSERT_EQ(b.eviction_policy().tracked(), b.live_entries()) << "op " << op;
     ASSERT_EQ(ledger->tracked(), b.live_entries()) << "op " << op;

@@ -12,22 +12,10 @@
 #include <map>
 
 #include "cliquemap/cell.h"
+#include "test_util.h"
 
 namespace cm::cliquemap {
 namespace {
-
-// Runs a client task to completion and returns its result.
-template <typename T>
-T RunOp(sim::Simulator& sim, sim::Task<T> task) {
-  auto out = std::make_shared<std::optional<T>>();
-  sim.Spawn([](sim::Task<T> t,
-               std::shared_ptr<std::optional<T>> out) -> sim::Task<void> {
-    *out = co_await std::move(t);
-  }(std::move(task), out));
-  sim.Run();
-  EXPECT_TRUE(out->has_value()) << "op did not complete";
-  return **out;
-}
 
 CellOptions SmallCell(TransportKind transport, uint64_t seed = 42) {
   CellOptions o;

@@ -10,6 +10,7 @@
 #include "cliquemap/proto.h"
 #include "net/faults.h"
 #include "rpc/rpc.h"
+#include "test_util.h"
 
 namespace cm::cliquemap {
 namespace {
@@ -23,19 +24,6 @@ CellOptions SmallCell(ReplicationMode mode, TransportKind transport) {
   o.backend.data_initial_bytes = 256 * 1024;
   o.backend.data_max_bytes = 8 * 1024 * 1024;
   return o;
-}
-
-// Runs a client task to completion and returns its result.
-template <typename T>
-T RunOp(sim::Simulator& sim, sim::Task<T> task) {
-  auto out = std::make_shared<std::optional<T>>();
-  sim.Spawn([](sim::Task<T> t,
-               std::shared_ptr<std::optional<T>> out) -> sim::Task<void> {
-    *out = co_await std::move(t);
-  }(std::move(task), out));
-  sim.Run();
-  EXPECT_TRUE(out->has_value()) << "op did not complete";
-  return **out;
 }
 
 class CellTest

@@ -257,8 +257,7 @@ Capture RunReshardScenario(uint64_t seed) {
   // The elastic timeline rides under the traffic: grow, up-replicate,
   // replace a backend.
   auto timeline_done = std::make_shared<int>(0);
-  sim.Spawn([](sim::Simulator& sim, Resharder& r,
-               std::shared_ptr<sim::Notification> loaded,
+  sim.Spawn([](Resharder& r, std::shared_ptr<sim::Notification> loaded,
                std::shared_ptr<int> done) -> sim::Task<void> {
     co_await loaded->Wait();
     Status s = co_await r.Resize(4);
@@ -268,7 +267,7 @@ Capture RunReshardScenario(uint64_t seed) {
     s = co_await r.ReplaceBackend(1);
     EXPECT_TRUE(s.ok()) << "replace: " << s.ToString();
     ++*done;
-  }(sim, resharder, loaded, timeline_done));
+  }(resharder, loaded, timeline_done));
 
   while ((*done < kClients || *timeline_done < 1) && !sim.empty()) {
     sim.RunSteps(1024);

@@ -220,7 +220,9 @@ TEST(DomainSpreadTest, RebalanceRestoresSpreadOnline) {
     for (int k = 0; k < kKeys; ++k) {
       auto r = co_await client->Get("dom-" + std::to_string(k));
       EXPECT_TRUE(r.ok()) << "key " << k << ": " << r.status().ToString();
-      if (r.ok()) EXPECT_EQ(r->value[0], std::byte{uint8_t(k + 1)});
+      if (r.ok()) {
+        EXPECT_EQ(r->value[0], std::byte{uint8_t(k + 1)});
+      }
     }
     *verified = true;
   }(client, verified));
@@ -297,7 +299,9 @@ TEST(DoctorStormTest, ThreeSimultaneousCrashesHealWithoutStorm) {
     for (int k = 0; k < kKeys; ++k) {
       auto r = co_await client->Get("storm-" + std::to_string(k));
       EXPECT_TRUE(r.ok()) << "key " << k << ": " << r.status().ToString();
-      if (r.ok()) EXPECT_EQ(r->value[0], std::byte{uint8_t(k + 1)});
+      if (r.ok()) {
+        EXPECT_EQ(r->value[0], std::byte{uint8_t(k + 1)});
+      }
     }
     *verified = true;
   }(client, verified));

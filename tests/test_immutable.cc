@@ -4,21 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "cliquemap/cell.h"
+#include "test_util.h"
 
 namespace cm::cliquemap {
 namespace {
-
-template <typename T>
-T RunOp(sim::Simulator& sim, sim::Task<T> task) {
-  auto out = std::make_shared<std::optional<T>>();
-  sim.Spawn([](sim::Task<T> t,
-               std::shared_ptr<std::optional<T>> out) -> sim::Task<void> {
-    *out = co_await std::move(t);
-  }(std::move(task), out));
-  sim.Run();
-  EXPECT_TRUE(out->has_value());
-  return **out;
-}
 
 struct ImmutableFixture : ::testing::Test {
   sim::Simulator sim;

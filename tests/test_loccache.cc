@@ -23,22 +23,10 @@
 #include "cliquemap/layout.h"
 #include "cliquemap/loccache.h"
 #include "common/rng.h"
+#include "test_util.h"
 
 namespace cm::cliquemap {
 namespace {
-
-// Runs a client task to completion and returns its result.
-template <typename T>
-T RunOp(sim::Simulator& sim, sim::Task<T> task) {
-  auto out = std::make_shared<std::optional<T>>();
-  sim.Spawn([](sim::Task<T> t,
-               std::shared_ptr<std::optional<T>> out) -> sim::Task<void> {
-    *out = co_await std::move(t);
-  }(std::move(task), out));
-  sim.Run();
-  EXPECT_TRUE(out->has_value()) << "op did not complete";
-  return **out;
-}
 
 Hash128 H(uint64_t n) { return Hash128{n, ~n}; }
 

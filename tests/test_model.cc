@@ -7,21 +7,10 @@
 #include <map>
 
 #include "cliquemap/cell.h"
+#include "test_util.h"
 
 namespace cm::cliquemap {
 namespace {
-
-template <typename T>
-T RunOp(sim::Simulator& sim, sim::Task<T> task) {
-  auto out = std::make_shared<std::optional<T>>();
-  sim.Spawn([](sim::Task<T> t,
-               std::shared_ptr<std::optional<T>> out) -> sim::Task<void> {
-    *out = co_await std::move(t);
-  }(std::move(task), out));
-  sim.Run();
-  EXPECT_TRUE(out->has_value());
-  return **out;
-}
 
 struct ModelParams {
   ReplicationMode mode;
@@ -161,10 +150,7 @@ TEST(ModelCrashTest, StateSurvivesCrashRecovery) {
     EXPECT_EQ(ToString(got->value), value) << key;
   }
   // All three replicas agree on every key's version after recovery+repair.
-  RunOp(sim, [](Backend* b) -> sim::Task<Status> {
-    co_await b->RepairScanOnce();
-    co_return OkStatus();
-  }(&cell.backend(0)));
+  RunOp(sim, cell.backend(0).RepairScanOnce());
   for (const auto& [key, value] : model) {
     const uint32_t primary = PrimaryShard(HashKey(key), 4);
     auto v0 = cell.backend(ReplicaShard(primary, 0, 4)).LookupVersion(key);

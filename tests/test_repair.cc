@@ -2,21 +2,10 @@
 #include <gtest/gtest.h>
 
 #include "cliquemap/cell.h"
+#include "test_util.h"
 
 namespace cm::cliquemap {
 namespace {
-
-template <typename T>
-T RunOp(sim::Simulator& sim, sim::Task<T> task) {
-  auto out = std::make_shared<std::optional<T>>();
-  sim.Spawn([](sim::Task<T> t,
-               std::shared_ptr<std::optional<T>> out) -> sim::Task<void> {
-    *out = co_await std::move(t);
-  }(std::move(task), out));
-  sim.Run();
-  EXPECT_TRUE(out->has_value());
-  return **out;
-}
 
 CellOptions RepairCell() {
   CellOptions o;
@@ -62,10 +51,7 @@ TEST_F(RepairFixture, DirtyQuorumRepairedByScan) {
 
   // A cohort scan from a healthy replica repairs the dirty one and settles
   // all three on one fresh version.
-  RunOp(sim, [](Backend* b) -> sim::Task<Status> {
-    co_await b->RepairScanOnce();
-    co_return OkStatus();
-  }(&cell->backend(0)));
+  RunOp(sim, cell->backend(0).RepairScanOnce());
 
   auto v0 = cell->backend(0).LookupVersion(key);
   auto v1 = cell->backend(1).LookupVersion(key);
@@ -126,10 +112,7 @@ TEST_F(RepairFixture, EraseWinsOverStaleValueDuringRepair) {
 
   // Repair from a backend holding the tombstone: the erase must propagate,
   // not the stale value resurrect.
-  RunOp(sim, [](Backend* b) -> sim::Task<Status> {
-    co_await b->RepairScanOnce();
-    co_return OkStatus();
-  }(&cell->backend(0)));
+  RunOp(sim, cell->backend(0).RepairScanOnce());
   EXPECT_FALSE(b2.LookupVersion(key).has_value());
   EXPECT_EQ(RunOp(sim, client->Get(key)).status().code(),
             StatusCode::kNotFound);
@@ -170,10 +153,7 @@ TEST_F(RepairFixture, EraseRepairRemovesLocalOverflowCopy) {
   }
 
   // Recovery on backend 0 must propagate the erase to its overflow copy.
-  EXPECT_TRUE(RunOp(sim, [](Backend* b) -> sim::Task<Status> {
-                co_await b->RecoverFromCohort();
-                co_return OkStatus();
-              }(&cell->backend(0))).ok());
+  RunOp(sim, cell->backend(0).RecoverFromCohort());
   EXPECT_GE(cell->backend(0).stats().repairs_issued, 1);
   EXPECT_FALSE(cell->backend(0).LookupVersion("c").has_value());
 }
@@ -201,10 +181,7 @@ TEST_F(RepairFixture, OneWayPartitionDoesNotReversionUnreachableHolder) {
                      sim.now(), heal);
   cell->fabric().InstallFaults(plan);
 
-  RunOp(sim, [](Backend* b) -> sim::Task<Status> {
-    co_await b->RepairScanOnce();
-    co_return OkStatus();
-  }(&cell->backend(0)));
+  RunOp(sim, cell->backend(0).RepairScanOnce());
 
   // The missing copy on 1 was reinstalled at the agreed version; the
   // unreachable-but-healthy holder 2 was neither counted as missing nor
@@ -219,10 +196,7 @@ TEST_F(RepairFixture, OneWayPartitionDoesNotReversionUnreachableHolder) {
   // After the partition heals, a rescan finds all three clean — still at
   // the original version.
   sim.RunUntil(heal + sim::Seconds(1));
-  RunOp(sim, [](Backend* b) -> sim::Task<Status> {
-    co_await b->RepairScanOnce();
-    co_return OkStatus();
-  }(&cell->backend(0)));
+  RunOp(sim, cell->backend(0).RepairScanOnce());
   EXPECT_EQ(cell->backend(0).LookupVersion(key), v2_before);
   EXPECT_EQ(cell->backend(1).LookupVersion(key), v2_before);
   EXPECT_EQ(cell->backend(2).LookupVersion(key), v2_before);

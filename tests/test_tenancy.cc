@@ -10,22 +10,10 @@
 #include "cliquemap/cell.h"
 #include "cliquemap/proto.h"
 #include "cliquemap/tenancy.h"
+#include "test_util.h"
 
 namespace cm::cliquemap {
 namespace {
-
-// Runs a client task to completion and returns its result.
-template <typename T>
-T RunOp(sim::Simulator& sim, sim::Task<T> task) {
-  auto out = std::make_shared<std::optional<T>>();
-  sim.Spawn([](sim::Task<T> t,
-               std::shared_ptr<std::optional<T>> out) -> sim::Task<void> {
-    *out = co_await std::move(t);
-  }(std::move(task), out));
-  sim.Run();
-  EXPECT_TRUE(out->has_value()) << "op did not complete";
-  return **out;
-}
 
 TenantSpec MakeSpec(TenantId id, const std::string& name) {
   TenantSpec s;
@@ -645,10 +633,7 @@ TEST(TenancyCell, QuotaVictimFollowsTouches) {
   for (int i = 0; i < 7; ++i) ASSERT_TRUE(set(i).ok()) << i;
   ASSERT_EQ(cell.AggregateBackendStats().evictions_tenant, 0);
   ASSERT_TRUE(RunOp(sim, client->Get("hog/0")).ok());
-  (void)RunOp(sim, [](Client* c) -> sim::Task<Status> {
-    co_await c->FlushTouches();
-    co_return OkStatus();
-  }(client));
+  RunOp(sim, client->FlushTouches());
   ASSERT_GT(cell.backend(0).stats().touches_ingested, 0);
 
   ASSERT_TRUE(set(7).ok());
