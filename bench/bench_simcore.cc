@@ -171,7 +171,7 @@ double WallMsPerSimSecond(sim::Duration sim_horizon) {
   rma::RmaNetwork rma_net;
   rma_net.Attach(server, &registry);
   rma::SoftNicTransport transport(fabric, rma_net);
-  fabric.StartAntagonist(server, 10.0, true, true);
+  const int antagonist = fabric.StartAntagonist(server, 10.0, true, true);
 
   auto driver = [](sim::Simulator& sim, rma::SoftNicTransport& t,
                    net::HostId client, net::HostId server,
@@ -185,6 +185,10 @@ double WallMsPerSimSecond(sim::Duration sim_horizon) {
   sim.Spawn(driver(sim, transport, client, server, region, sim_horizon));
   sim.RunUntil(sim_horizon);
   double secs = SecondsSince(start);
+  // Untimed: let the driver's last read and the antagonist finish, so no
+  // coroutine frame is left suspended (and leaked) at teardown.
+  fabric.StopAntagonist(antagonist);
+  sim.Run();
   return secs * 1e3 /
          (static_cast<double>(sim_horizon) / 1e9);  // wall ms per sim s
 }

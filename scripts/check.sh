@@ -1,10 +1,8 @@
 #!/usr/bin/env bash
 # One-command gate: tier-1 build + tests, the perf gates and the sim-time
-# bench pins, then a sanitizer build running the fault-injection (chaos),
-# elasticity (resharding), self-healing (health), wire-codec (proto),
-# backend residency (backend), registry-export (metrics), CRC/codec and
-# RecencyMap (codec), event-queue (sim), eviction-policy (eviction) and
-# RMA memory/transport (rma) suites, among others.
+# bench pins, then a sanitizer (ASan/UBSan) build running the whole ctest
+# suite: borrowed SCAR reads hand raw spans of backend memory to the client
+# decoders, and the sanitizers are what catch a span that outlives them.
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast  skip the sanitizer stage (tier-1 only)
@@ -110,7 +108,7 @@ echo "== sanitizer (ASan/UBSan): build =="
 cmake -B build-asan -S . -DCM_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$(nproc)"
 
-echo "== sanitizer: chaos + resharding + health + tenancy + batch + loccache + quorum + disaster + proto + backend + metrics + codec + sim + eviction + rma labels =="
-(cd build-asan && ctest --output-on-failure -j "$(nproc)" -L 'chaos|resharding|health|tenancy|batch|loccache|quorum|disaster|proto|backend|metrics|codec|sim|eviction|rma')
+echo "== sanitizer: full ctest =="
+(cd build-asan && ctest --output-on-failure -j "$(nproc)")
 
 echo "== all checks passed =="

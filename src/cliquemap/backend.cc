@@ -10,22 +10,33 @@ namespace cm::cliquemap {
 // ---------------------------------------------------------------------------
 
 // The index region: one contiguous buffer per index generation. Replaced
-// wholesale (and its window revoked) on reshaping.
+// wholesale (and its window revoked) on reshaping. SCAR buckets are
+// deferred snapshots of it, so every write goes through Mutable().
 class Backend::IndexBuffer final : public rma::MemorySource {
  public:
   explicit IndexBuffer(size_t bytes) : bytes_(bytes, std::byte{0}) {}
+  // A replaced index copies out the SCAR buckets still pending on it.
+  ~IndexBuffer() override { MaterializeAll(); }
 
   Status ReadAt(uint64_t offset, uint32_t length,
                 std::byte* dst) const override {
-    if (offset + length > bytes_.size()) {
+    if (!rma::InBounds(offset, length, bytes_.size())) {
       return InvalidArgumentError("index read out of range");
     }
     std::memcpy(dst, bytes_.data() + offset, length);
     return OkStatus();
   }
   uint64_t size() const override { return bytes_.size(); }
+  ByteSpan Peek(uint64_t offset, uint32_t length) const override {
+    return cspan().subspan(offset, length);
+  }
 
-  MutableByteSpan span() { return MutableByteSpan(bytes_); }
+  // The single write funnel into the index: pending snapshots of the bytes
+  // it hands out are materialized first.
+  MutableByteSpan Mutable(uint64_t offset, uint64_t length) {
+    BeforeWrite(offset, length);
+    return MutableByteSpan(bytes_).subspan(offset, length);
+  }
   ByteSpan cspan() const { return ByteSpan(bytes_); }
 
  private:
@@ -51,7 +62,7 @@ class Backend::DataPool final : public rma::MemorySource {
 
   Status ReadAt(uint64_t offset, uint32_t length,
                 std::byte* dst) const override {
-    if (offset + length > populated_) {
+    if (!rma::InBounds(offset, length, populated_)) {
       return InvalidArgumentError("data read beyond populated pool");
     }
     uint64_t at = offset;
@@ -69,10 +80,17 @@ class Backend::DataPool final : public rma::MemorySource {
     return OkStatus();
   }
 
+  // A range inside one chunk is contiguous (slab slots never straddle).
+  ByteSpan Peek(uint64_t offset, uint32_t length) const override {
+    const uint64_t within = offset % chunk_bytes_;
+    if (within + length > chunk_bytes_) return {};
+    return ByteSpan(chunks_[offset / chunk_bytes_].get() + within, length);
+  }
+
   // The single write funnel into the pool: pending snapshots of the bytes
   // it overwrites are materialized first.
   Status WriteAt(uint64_t offset, ByteSpan src) {
-    if (offset + src.size() > populated_) {
+    if (!rma::InBounds(offset, src.size(), populated_)) {
       return InvalidArgumentError("data write beyond populated pool");
     }
     BeforeWrite(offset, src.size());
@@ -321,7 +339,7 @@ void Backend::SetConfigId(uint32_t config_id) {
   config_id_ = config_id;
   if (!index_) return;
   for (uint64_t b = 0; b < num_buckets_; ++b) {
-    BucketHeader h = DecodeBucketHeader(BucketSpan(b));
+    BucketHeader h = DecodeBucketHeader(BucketView(b));
     h.config_id = config_id_;
     EncodeBucketHeader(BucketSpan(b), h);
   }
@@ -332,13 +350,17 @@ void Backend::SetConfigId(uint32_t config_id) {
 // ---------------------------------------------------------------------------
 
 MutableByteSpan Backend::BucketSpan(uint64_t bucket) {
-  return index_->span().subspan(bucket * BucketBytes(config_.ways),
-                                BucketBytes(config_.ways));
+  return index_->Mutable(bucket * BucketBytes(config_.ways),
+                         BucketBytes(config_.ways));
+}
+
+ByteSpan Backend::BucketView(uint64_t bucket) const {
+  return index_->cspan().subspan(bucket * BucketBytes(config_.ways),
+                                 BucketBytes(config_.ways));
 }
 
 std::optional<int> Backend::FindFreeWay(uint64_t bucket) const {
-  ByteSpan span = index_->cspan().subspan(bucket * BucketBytes(config_.ways),
-                                          BucketBytes(config_.ways));
+  ByteSpan span = BucketView(bucket);
   for (int w = 0; w < config_.ways; ++w) {
     IndexEntry e = DecodeIndexEntry(
         span.subspan(kBucketHeaderSize + size_t(w) * kIndexEntrySize));
@@ -365,7 +387,7 @@ void Backend::ClearEntry(uint64_t bucket, int way) {
 }
 
 void Backend::SetOverflowFlag(uint64_t bucket, bool overflow) {
-  BucketHeader h = DecodeBucketHeader(BucketSpan(bucket));
+  BucketHeader h = DecodeBucketHeader(BucketView(bucket));
   h.overflow = overflow;
   EncodeBucketHeader(BucketSpan(bucket), h);
 }
@@ -589,9 +611,9 @@ sim::Task<void> Backend::ResizeIndex() {
     new_index = std::make_unique<IndexBuffer>(new_buckets *
                                               BucketBytes(config_.ways));
     for (uint64_t b = 0; b < new_buckets; ++b) {
-      EncodeBucketHeader(
-          new_index->span().subspan(b * BucketBytes(config_.ways)),
-          BucketHeader{config_id_, false});
+      EncodeBucketHeader(new_index->Mutable(b * BucketBytes(config_.ways),
+                                            BucketBytes(config_.ways)),
+                         BucketHeader{config_id_, false});
     }
     new_locations.clear();
     new_locations.reserve(locations_.size());
@@ -599,7 +621,7 @@ sim::Task<void> Backend::ResizeIndex() {
     for (const auto& [hash, loc] : locations_) {
       IndexEntry e = ReadEntry(loc.bucket, loc.way);
       const uint64_t nb = BucketIndex(hash, new_buckets);
-      MutableByteSpan bspan = new_index->span().subspan(
+      MutableByteSpan bspan = new_index->Mutable(
           nb * BucketBytes(config_.ways), BucketBytes(config_.ways));
       bool placed = false;
       for (int w = 0; w < config_.ways; ++w) {
@@ -1186,24 +1208,32 @@ StatusOr<rma::ScarResult> Backend::ExecuteScar(uint64_t hash_hi,
                                                rma::RegionId index_region,
                                                uint64_t bucket_offset,
                                                uint32_t bucket_len) {
-  if (!serving_ || index_region != index_region_ ||
-      !registry_.IsLive(index_region)) {
+  if (!serving_ || index_region != index_region_) {
     return PermissionDeniedError("scar against stale index window");
   }
-  auto bucket = registry_.ResolveView(index_region, bucket_offset, bucket_len);
-  if (!bucket.ok()) return bucket.status();
-
+  if (Status s = registry_.CheckAccess(index_region, bucket_offset, bucket_len);
+      !s.ok()) {
+    return s;
+  }
+  // The NIC scans the live bucket in place. The reply's bucket and
+  // DataEntry are snapshots of this instant, copied only if a write to
+  // them lands first; the client decodes them in place.
+  const ByteSpan bucket = index_->cspan().subspan(bucket_offset, bucket_len);
+  // The bucket is usually cold: ask for all its cache lines before the
+  // way-by-way scan waits on the first.
+  for (size_t at = 0; at < bucket.size(); at += 64) {
+    __builtin_prefetch(bucket.data() + at);
+  }
   rma::ScarResult result;
-  result.bucket = *std::move(bucket);
+  result.bucket = index_->Defer(bucket_offset, bucket_len);
   const Hash128 want{hash_hi, hash_lo};
   for (int w = 0; w < config_.ways; ++w) {
     const size_t at = kBucketHeaderSize + size_t(w) * kIndexEntrySize;
-    if (at + kIndexEntrySize > result.bucket.size()) break;
-    IndexEntry e = DecodeIndexEntry(result.bucket.span().subspan(at));
+    if (at + kIndexEntrySize > bucket.size()) break;
+    IndexEntry e = DecodeIndexEntry(bucket.subspan(at));
     if (e.keyhash == want && !e.pointer.is_null()) {
-      // The DataEntry as of this instant; a torn pointer or mid-write entry
-      // surfaces to the client as a checksum failure. It is copied only if
-      // the client reads it (one replica of R), or before a write lands.
+      // A torn pointer or mid-write entry surfaces to the client as a
+      // checksum failure. The client reads the data of one replica of R.
       result.data = data_->Defer(e.pointer.offset, e.pointer.size);
       break;
     }

@@ -322,7 +322,10 @@ class Backend {
                                        const VersionNumber& version);
 
   // Index helpers --------------------------------------------------------
+  // The only writable view of the index (through IndexBuffer::Mutable, which
+  // materializes pending SCAR buckets first); readers use BucketView.
   MutableByteSpan BucketSpan(uint64_t bucket);
+  ByteSpan BucketView(uint64_t bucket) const;
   std::optional<int> FindFreeWay(uint64_t bucket) const;
   IndexEntry ReadEntry(uint64_t bucket, int way) const;
   void WriteEntry(uint64_t bucket, int way, const IndexEntry& entry);

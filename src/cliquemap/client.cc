@@ -662,8 +662,9 @@ sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
       if (use_scar) {
         vote.status = EntryStatus(b->status, b->scars, j);
         if (vote.status.ok()) {
-          vote.status = DecodeBucketVote(b->scars[j]->bucket, b->shard, k.hash,
-                                         b->ways, &vote);
+          vote.status = b->scars[j]->bucket.Borrow([&](ByteSpan bucket) {
+            return DecodeBucketVote(bucket, b->shard, k.hash, b->ways, &vote);
+          });
           if (vote.status.ok()) vote.scar_data = std::move(b->scars[j]->data);
         }
       } else {
@@ -701,7 +702,7 @@ sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
   // place. 2xR issues one more vectored read per backend holding quorumed
   // pointers. A validated hit (or a full-key collision miss) resolves the
   // key; a torn read retries cleanly on the slow path. ---
-  auto settle_data = [&](KeyState& k, const BufferView& blob) {
+  auto settle_data = [&](KeyState& k, const auto& blob) {
     const IndexVote& chosen = k.tally.winner();
     auto r = ValidateData(blob, keys[k.slot], k.hash, chosen.entry.version);
     if (r.ok() || r.status().code() == StatusCode::kNotFound) {
@@ -720,7 +721,7 @@ sim::Task<void> Client::MultiGetBatched(const std::vector<std::string>& keys,
         k.phase = Phase::kSlow;
         continue;
       }
-      settle_data(k, k.tally.winner().scar_data.view());
+      settle_data(k, k.tally.winner().scar_data);
     }
   } else {
     std::map<uint32_t, std::vector<size_t>> data_by_shard;
@@ -1033,7 +1034,7 @@ sim::Task<StatusOr<GetResult>> Client::GetOnce(const std::string& key,
       co_return AbortedError("scar returned no data");
     }
     co_await ChargeValidate(ctx.span);
-    auto res = ValidateData(winner.scar_data.view(), key, ctx.hash,
+    auto res = ValidateData(winner.scar_data, key, ctx.hash,
                             winner.entry.version);
     if (res.ok()) CacheWinningVote(ctx.hash, winner, ctx);
     co_return res;
@@ -1226,7 +1227,7 @@ sim::Task<void> Client::ChargeValidate(trace::SpanId span) {
 // Decodes one bucket read into a vote: short-read guard, config-id fence,
 // overflow bit, and the way scan. Shared by the single-key FetchIndex and
 // the batched index phase (which validates whole vectors of these).
-Status Client::DecodeBucketVote(const BufferView& bucket_bytes, uint32_t shard,
+Status Client::DecodeBucketVote(ByteSpan bucket_bytes, uint32_t shard,
                                 const Hash128& hash, uint32_t ways,
                                 IndexVote* vote) const {
   if (bucket_bytes.size() < BucketBytes(ways)) {
@@ -1242,7 +1243,7 @@ Status Client::DecodeBucketVote(const BufferView& bucket_bytes, uint32_t shard,
   }
   vote->overflow = header.overflow;
   for (uint32_t w = 0; w < ways; ++w) {
-    IndexEntry e = DecodeIndexEntry(bucket_bytes.span().subspan(
+    IndexEntry e = DecodeIndexEntry(bucket_bytes.subspan(
         kBucketHeaderSize + size_t(w) * kIndexEntrySize));
     if (e.keyhash == hash && !e.pointer.is_null()) {
       vote->has_entry = true;
@@ -1275,14 +1276,15 @@ sim::Task<void> Client::FetchIndex(
   const uint64_t offset = bucket * BucketBytes(conn.ways);
   const auto length = static_cast<uint32_t>(BucketBytes(conn.ways));
 
-  BufferView bucket_bytes;
+  BufferView bucket_bytes;    // a READ's copy
+  rma::Snapshot scar_bucket;  // a SCAR's, decoded in place
   Status status;
   if (use_scar) {
     auto r = co_await transport_->ScanAndRead(
         host_, conn.host, conn.index_region, offset, length, ctx.hash.hi,
         ctx.hash.lo, span);
     if (r.ok()) {
-      bucket_bytes = std::move(r->bucket);
+      scar_bucket = std::move(r->bucket);
       vote.scar_data = std::move(r->data);
     } else {
       status = r.status();
@@ -1298,7 +1300,10 @@ sim::Task<void> Client::FetchIndex(
   }
   if (status.ok()) {
     co_await ChargeValidate(span);
-    status = DecodeBucketVote(bucket_bytes, shard, ctx.hash, conn.ways, &vote);
+    auto decode = [&](ByteSpan bytes) {
+      return DecodeBucketVote(bytes, shard, ctx.hash, conn.ways, &vote);
+    };
+    status = use_scar ? scar_bucket.Borrow(decode) : decode(bucket_bytes);
   }
   // Feed the replica's latency EWMA (outlier ejection input). Successful
   // fetches only: failures are handled by the backoff machinery.
@@ -1342,10 +1347,9 @@ sim::Task<StatusOr<BufferView>> Client::ReadDataEntry(net::HostId target,
   co_return r;
 }
 
-StatusOr<GetResult> Client::ValidateData(const BufferView& blob,
-                                         const std::string& key,
-                                         const Hash128& hash,
-                                         const VersionNumber& quorum_version) {
+StatusOr<DataEntryView> Client::CheckDataEntry(
+    ByteSpan blob, const std::string& key, const Hash128& hash,
+    const VersionNumber& quorum_version) {
   // (1) end-to-end checksum: guards torn reads.
   auto view = DecodeDataEntry(blob);
   if (!view.ok()) {
@@ -1361,8 +1365,36 @@ StatusOr<GetResult> Client::ValidateData(const BufferView& blob,
   if (view->key != key) {
     return NotFoundError("key hash collision");
   }
+  return view;
+}
+
+StatusOr<GetResult> Client::ValidateData(const BufferView& blob,
+                                         const std::string& key,
+                                         const Hash128& hash,
+                                         const VersionNumber& quorum_version) {
+  auto view = CheckDataEntry(blob, key, hash, quorum_version);
+  if (!view.ok()) return view.status();
   // The value is a slice of the materialized read — no extraction copy.
   return GetResult{blob.SliceOf(view->value), view->version};
+}
+
+StatusOr<GetResult> Client::ValidateData(const rma::Snapshot& blob,
+                                         const std::string& key,
+                                         const Hash128& hash,
+                                         const VersionNumber& quorum_version) {
+  size_t value_at = 0;
+  size_t value_len = 0;
+  VersionNumber version;
+  Status status = blob.Borrow([&](ByteSpan bytes) -> Status {
+    auto view = CheckDataEntry(bytes, key, hash, quorum_version);
+    if (!view.ok()) return view.status();
+    value_at = static_cast<size_t>(view->value.data() - bytes.data());
+    value_len = view->value.size();
+    version = view->version;
+    return OkStatus();
+  });
+  if (!status.ok()) return status;
+  return GetResult{blob.Slice(value_at, value_len), version};
 }
 
 // ---------------------------------------------------------------------------

@@ -434,6 +434,15 @@ class Client {
   StatusOr<GetResult> ValidateData(const BufferView& blob,
                                    const std::string& key, const Hash128& hash,
                                    const VersionNumber& quorum_version);
+  // The same for a SCAR's DataEntry snapshot, validated in place (a
+  // borrow); the value is its one copy, or a slice if already copied.
+  StatusOr<GetResult> ValidateData(const rma::Snapshot& blob,
+                                   const std::string& key, const Hash128& hash,
+                                   const VersionNumber& quorum_version);
+  // Hit conditions (1)-(3) of a DataEntry's bytes, counting torn reads.
+  StatusOr<DataEntryView> CheckDataEntry(ByteSpan blob, const std::string& key,
+                                         const Hash128& hash,
+                                         const VersionNumber& quorum_version);
 
   // 1-RMA speculative fast path ----------------------------------------
   // Whether `ctx` may consult the location cache right now: speculation
@@ -471,7 +480,7 @@ class Client {
   // Batched MultiGet pipeline ------------------------------------------
   // Decodes one bucket read into a vote (config-id check + way scan);
   // shared by the single-key FetchIndex and the batched index phase.
-  Status DecodeBucketVote(const BufferView& bucket_bytes, uint32_t shard,
+  Status DecodeBucketVote(ByteSpan bucket_bytes, uint32_t shard,
                           const Hash128& hash, uint32_t ways,
                           IndexVote* vote) const;
   // The coalesced pipeline behind MultiGet; `unique` maps result slots to

@@ -1,10 +1,11 @@
 // Refcounted slab-backed payload buffers.
 //
 // The zero-copy spine of the simulated data path: a GET's index and data
-// bytes are materialized at most once — at the backend memory region, and a
-// SCAR reply's DataEntry only when the client reads it (rma::Snapshot) —
-// into a `Buffer`, then passed by `BufferView` (a refcounted slice) through
-// fabric, RMA transports, RPC, and the client's validation/decode layers.
+// bytes are materialized at most once — at the backend memory region for a
+// READ; a SCAR reply's bucket and DataEntry are decoded in place and only
+// the value is copied (rma::Snapshot) — into a `Buffer`, then passed by
+// `BufferView` (a refcounted slice) through fabric, RMA transports, RPC,
+// and the client's validation/decode layers.
 // Hops, MTU frames, retries, and quorum fan-outs share the one materialized
 // buffer instead of copying per hop. A deferred snapshot stays exact because
 // its source materializes it before any write to its range lands (the

@@ -37,6 +37,37 @@ constexpr SliceTables MakeTables() {
 
 constexpr SliceTables kTables = MakeTables();
 
+// The zeros operator of the hardware kernel's lanes: kLaneShift[k][v] is the
+// raw (uninverted) CRC register holding v << 8k advanced over kHwLaneBytes
+// zero bytes. The register update is linear, so four lookups advance any
+// register value, and a lane's CRC started from 0 joins the one before it
+// as Shift(before) ^ lane.
+using ShiftTable = std::array<std::array<uint32_t, 256>, 4>;
+
+constexpr ShiftTable MakeLaneShift() {
+  std::array<uint32_t, 32> basis{};  // each register bit, advanced
+  for (int b = 0; b < 32; ++b) {
+    uint32_t crc = 1u << b;
+    for (size_t i = 0; i < kHwLaneBytes * 8; ++i) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? kCrc32cPoly : 0u);
+    }
+    basis[static_cast<size_t>(b)] = crc;
+  }
+  ShiftTable t{};
+  for (size_t k = 0; k < t.size(); ++k) {
+    for (uint32_t v = 0; v < 256; ++v) {
+      uint32_t x = 0;
+      for (size_t bit = 0; bit < 8; ++bit) {
+        if ((v >> bit) & 1u) x ^= basis[8 * k + bit];
+      }
+      t[k][v] = x;
+    }
+  }
+  return t;
+}
+
+[[maybe_unused]] constexpr ShiftTable kLaneShift = MakeLaneShift();
+
 // Little-endian load from bytes, so the portable kernel is endian-neutral.
 inline uint32_t LoadLe32(const uint8_t* p) {
   return uint32_t{p[0]} | (uint32_t{p[1]} << 8) | (uint32_t{p[2]} << 16) |
@@ -61,12 +92,41 @@ uint32_t ExtendPortable(uint32_t crc, const uint8_t* p, size_t n) {
 
 #ifdef CM_CRC32C_X86
 
+namespace {
+
+inline uint32_t ShiftOverLane(uint32_t crc) {
+  return kLaneShift[0][crc & 0xffu] ^ kLaneShift[1][(crc >> 8) & 0xffu] ^
+         kLaneShift[2][(crc >> 16) & 0xffu] ^ kLaneShift[3][crc >> 24];
+}
+
+}  // namespace
+
 // Only this function is compiled for SSE4.2; it runs only when the CPU
 // reports the instruction, so the binary still runs on any x86-64.
+//
+// One crc32q chain is latency-bound (a result every 3 cycles, one issue per
+// cycle), so blocks of three lanes run three independent chains, joined by
+// the zeros operator. The tail, shorter than a block, runs one chain.
 __attribute__((target("sse4.2"))) uint32_t ExtendHw(uint32_t crc,
                                                     const uint8_t* p,
                                                     size_t n) {
   uint64_t c = ~crc;
+  for (; n >= 3 * kHwLaneBytes; p += 3 * kHwLaneBytes, n -= 3 * kHwLaneBytes) {
+    uint64_t c1 = 0;
+    uint64_t c2 = 0;
+    for (size_t i = 0; i < kHwLaneBytes; i += 8) {
+      uint64_t w0, w1, w2;
+      std::memcpy(&w0, p + i, 8);
+      std::memcpy(&w1, p + kHwLaneBytes + i, 8);
+      std::memcpy(&w2, p + 2 * kHwLaneBytes + i, 8);
+      c = _mm_crc32_u64(c, w0);
+      c1 = _mm_crc32_u64(c1, w1);
+      c2 = _mm_crc32_u64(c2, w2);
+    }
+    c = ShiftOverLane(ShiftOverLane(static_cast<uint32_t>(c)) ^
+                      static_cast<uint32_t>(c1)) ^
+        static_cast<uint32_t>(c2);
+  }
   for (; n >= 8; p += 8, n -= 8) {
     uint64_t word;
     std::memcpy(&word, p, 8);  // unaligned, and UBSan-clean

@@ -38,7 +38,9 @@ uint32_t ComputeCrc32c(ByteSpan data);
 namespace crc32c_internal {
 
 uint32_t ExtendPortable(uint32_t crc, const uint8_t* data, size_t n);
-// Requires HwAvailable(); off x86-64 it is the portable kernel.
+// Requires HwAvailable(); off x86-64 it is the portable kernel. Runs of
+// 3 * kHwLaneBytes bytes are checksummed as three interleaved lanes.
+inline constexpr size_t kHwLaneBytes = 256;
 uint32_t ExtendHw(uint32_t crc, const uint8_t* data, size_t n);
 // True when this CPU has the SSE4.2 crc32 instruction.
 bool HwAvailable();

@@ -16,6 +16,37 @@ struct SnapCtl {
   BufferView bytes;                // once materialized
 };
 
+namespace {
+
+// SnapCtls are recycled through a freelist: a SCAR makes two per replica,
+// one for its bucket and one for its DataEntry. Single-threaded, like the
+// buffer arena.
+struct CtlPool {
+  std::vector<SnapCtl*> free;
+  ~CtlPool() {
+    for (SnapCtl* ctl : free) delete ctl;
+  }
+};
+
+CtlPool& ctl_pool() {
+  static CtlPool pool;
+  return pool;
+}
+
+SnapCtl* NewCtl() {
+  std::vector<SnapCtl*>& free = ctl_pool().free;
+  if (free.empty()) return new SnapCtl;
+  SnapCtl* ctl = free.back();
+  free.pop_back();
+  return ctl;
+}
+
+void FreeCtl(SnapCtl* ctl) {
+  *ctl = SnapCtl{};
+  ctl_pool().free.push_back(ctl);
+}
+
+}  // namespace
 }  // namespace internal
 
 // ---------------------------------------------------------------------------
@@ -24,7 +55,7 @@ struct SnapCtl {
 
 Snapshot::Snapshot(BufferView bytes) : size_(bytes.size()) {
   if (size_ == 0) return;
-  ctl_ = new internal::SnapCtl;
+  ctl_ = internal::NewCtl();
   ctl_->bytes = std::move(bytes);
 }
 
@@ -55,7 +86,7 @@ Snapshot::~Snapshot() {
   if (ctl_ == nullptr || --ctl_->refs != 0) return;
   // Dropped unread: nothing was copied, and nothing stays pending.
   if (ctl_->source != nullptr) ctl_->source->Unlink(ctl_);
-  delete ctl_;
+  internal::FreeCtl(ctl_);
 }
 
 const BufferView& Snapshot::view() const {
@@ -63,6 +94,36 @@ const BufferView& Snapshot::view() const {
   if (ctl_ == nullptr) return kEmpty;
   if (ctl_->source != nullptr) ctl_->source->Materialize(ctl_);
   return ctl_->bytes;
+}
+
+Snapshot::Borrowed::Borrowed(const Snapshot& snap) {
+  internal::SnapCtl* ctl = snap.ctl_;
+  if (ctl == nullptr) return;
+  if (ctl->source != nullptr) {
+    bytes = ctl->source->Peek(ctl->offset, ctl->length);
+    if (bytes.size() == ctl->length) {
+      source_ = ctl->source;
+      ++source_->open_borrows_;
+      return;
+    }
+  }
+  bytes = snap.view().span();
+}
+
+Snapshot::Borrowed::~Borrowed() {
+  if (source_ != nullptr) --source_->open_borrows_;
+}
+
+BufferView Snapshot::Slice(size_t offset, size_t length) const {
+  assert(InBounds(offset, length, size_));
+  if (ctl_ == nullptr || length == 0) return {};
+  if (ctl_->source == nullptr) return ctl_->bytes.Slice(offset, length);
+  Buffer buf = Buffer::Allocate(length);
+  [[maybe_unused]] Status s = ctl_->source->ReadAt(
+      ctl_->offset + offset, static_cast<uint32_t>(length), buf.data());
+  assert(s.ok());  // within the pending range, which Defer checked
+  BufferStats::NoteCopy(static_cast<int64_t>(length));
+  return std::move(buf).Share();
 }
 
 // ---------------------------------------------------------------------------
@@ -74,10 +135,12 @@ MemorySource::~MemorySource() {
   assert(pending_.empty());
 }
 
+ByteSpan MemorySource::Peek(uint64_t, uint32_t) const { return {}; }
+
 Snapshot MemorySource::Defer(uint64_t offset, uint32_t length) {
   Snapshot snap;
-  if (length == 0 || offset + length > size()) return snap;
-  snap.ctl_ = new internal::SnapCtl;
+  if (length == 0 || !InBounds(offset, length, size())) return snap;
+  snap.ctl_ = internal::NewCtl();
   snap.ctl_->length = length;
   snap.ctl_->offset = offset;
   snap.ctl_->source = this;
@@ -88,6 +151,8 @@ Snapshot MemorySource::Defer(uint64_t offset, uint32_t length) {
 }
 
 void MemorySource::BeforeWrite(uint64_t offset, uint64_t length) {
+  // A write inside a borrow would change the bytes the borrower reads.
+  assert(open_borrows_ == 0);
   for (size_t i = 0; i < pending_.size();) {
     internal::SnapCtl* ctl = pending_[i];
     if (ctl->offset < offset + length && offset < ctl->offset + ctl->length) {
@@ -145,34 +210,39 @@ bool MemoryRegistry::IsLive(RegionId id) const {
   return it != windows_.end() && !it->second.revoked;
 }
 
-StatusOr<Bytes> MemoryRegistry::ResolveCopy(RegionId id, uint64_t offset,
-                                            uint32_t length) const {
+StatusOr<const MemoryRegistry::Window*> MemoryRegistry::Access(
+    RegionId id, uint64_t offset, uint32_t length) const {
   auto it = windows_.find(id);
   if (it == windows_.end() || it->second.revoked) {
     return PermissionDeniedError("rma window revoked or unknown");
   }
-  const Window& w = it->second;
-  if (offset + length > w.size) {
+  if (!InBounds(offset, length, it->second.size)) {
     return InvalidArgumentError("rma read out of window bounds");
   }
+  return &it->second;
+}
+
+Status MemoryRegistry::CheckAccess(RegionId id, uint64_t offset,
+                                   uint32_t length) const {
+  return Access(id, offset, length).status();
+}
+
+StatusOr<Bytes> MemoryRegistry::ResolveCopy(RegionId id, uint64_t offset,
+                                            uint32_t length) const {
+  auto w = Access(id, offset, length);
+  if (!w.ok()) return w.status();
   Bytes out(length);
-  Status s = w.source->ReadAt(offset, length, out.data());
+  Status s = (*w)->source->ReadAt(offset, length, out.data());
   if (!s.ok()) return s;
   return out;
 }
 
 StatusOr<BufferView> MemoryRegistry::ResolveView(RegionId id, uint64_t offset,
                                                  uint32_t length) const {
-  auto it = windows_.find(id);
-  if (it == windows_.end() || it->second.revoked) {
-    return PermissionDeniedError("rma window revoked or unknown");
-  }
-  const Window& w = it->second;
-  if (offset + length > w.size) {
-    return InvalidArgumentError("rma read out of window bounds");
-  }
+  auto w = Access(id, offset, length);
+  if (!w.ok()) return w.status();
   Buffer buf = Buffer::Allocate(length);
-  Status s = w.source->ReadAt(offset, length, buf.data());
+  Status s = (*w)->source->ReadAt(offset, length, buf.data());
   if (!s.ok()) return s;
   BufferStats::NoteCopy(length);
   return std::move(buf).Share();

@@ -16,17 +16,21 @@
 //    views over a MemorySource whose storage may be chunked and may grow,
 //    so simulated DRAM is only consumed for populated bytes.
 //
-// Reads copy the *live* backend bytes at the target's read instant (when
+// A READ copies the *live* backend bytes at the target's read instant (when
 // the target NIC executes the op, not when the reply is delivered), so a
-// read racing a mutation observes genuinely torn state. A SCAR's DataEntry
-// is a `Snapshot` of that instant: its bytes are copied only when the
-// client reads them, or just before a write would change them.
+// read racing a mutation observes genuinely torn state. A SCAR's bucket and
+// DataEntry are `Snapshot`s of that instant instead: nothing is copied when
+// the NIC scans; the client decodes a pending snapshot in place (a
+// synchronous borrow of the source bytes) and copies out only the value, or
+// the source copies the snapshot just before a write would change it. The
+// index and the data pool each funnel every write through BeforeWrite.
 #ifndef CM_RMA_MEMORY_H_
 #define CM_RMA_MEMORY_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/buffer.h"
@@ -38,9 +42,18 @@ namespace cm::rma {
 using RegionId = uint32_t;
 constexpr RegionId kInvalidRegion = 0;
 
+class MemorySource;
+
 namespace internal {
 struct SnapCtl;  // refcount + pending range, or the materialized bytes
 }  // namespace internal
+
+// Whether [offset, offset+length) lies within [0, size), without the
+// wrap-around of `offset + length > size` for offsets near 2^64 (an RMA
+// offset is chosen by the remote client).
+inline bool InBounds(uint64_t offset, uint64_t length, uint64_t size) {
+  return length <= size && offset <= size - length;
+}
 
 // The bytes of [offset, offset+length) of a MemorySource as of one instant,
 // copied out only when first read (see MemorySource::Defer). Cheap to copy
@@ -65,8 +78,39 @@ class Snapshot {
   // copy of this snapshot, share that one materialization.
   const BufferView& view() const;
 
+  // Returns f(ByteSpan) over the bytes without copying them: the source's
+  // live bytes while the snapshot is pending (no write has touched them
+  // since its instant), else the materialized copy. A source that cannot
+  // show the range contiguously materializes it first. The span is valid
+  // only inside f, and f must not write to the source: a borrow is
+  // synchronous and never spans a co_await (debug builds assert that no
+  // BeforeWrite runs while one is open).
+  template <class F>
+  decltype(auto) Borrow(F&& f) const {
+    const Borrowed borrowed(*this);
+    return std::forward<F>(f)(borrowed.bytes);
+  }
+
+  // Bytes [offset, offset+length) of the snapshot: a slice of the
+  // materialization once there is one, else a copy of just that range
+  // (counted). The range must lie within size().
+  BufferView Slice(size_t offset, size_t length) const;
+
  private:
   friend class MemorySource;
+  // An open borrow: the bytes, and the source it pins while pending.
+  class Borrowed {
+   public:
+    explicit Borrowed(const Snapshot& snap);
+    ~Borrowed();
+    Borrowed(const Borrowed&) = delete;
+    Borrowed& operator=(const Borrowed&) = delete;
+    ByteSpan bytes;
+
+   private:
+    const MemorySource* source_ = nullptr;
+  };
+
   internal::SnapCtl* ctl_ = nullptr;
   size_t size_ = 0;
 };
@@ -79,7 +123,8 @@ class Snapshot {
 // bytes lands, and MaterializeAll() in its own destructor while its
 // storage is still alive. Then a snapshot always shows the bytes of its
 // instant: it is copied either at view() with no overlapping write since,
-// or just before the first such write.
+// or just before the first such write, and a borrow of a pending snapshot
+// reads bytes no write has touched since that instant.
 class MemorySource {
  public:
   MemorySource() = default;
@@ -91,6 +136,10 @@ class MemorySource {
   virtual Status ReadAt(uint64_t offset, uint32_t length,
                         std::byte* dst) const = 0;
   virtual uint64_t size() const = 0;
+  // The live bytes of the in-bounds range [offset, offset+length) when the
+  // source stores them contiguously, else an empty span (the default).
+  // Borrows read pending snapshots through it.
+  virtual ByteSpan Peek(uint64_t offset, uint32_t length) const;
 
   // Registers a pending snapshot of [offset, offset+length). Copies
   // nothing; empty when the range is empty or ends beyond size().
@@ -99,7 +148,7 @@ class MemorySource {
 
  protected:
   // Materializes every pending snapshot overlapping [offset, offset+length)
-  // before a write to that range lands.
+  // before a write to that range lands. Must not run inside a borrow.
   void BeforeWrite(uint64_t offset, uint64_t length);
   // Materializes every pending snapshot. The base destructor cannot (it
   // can no longer dispatch to ReadAt), so derived sources that Defer call
@@ -114,6 +163,7 @@ class MemorySource {
   void Unlink(internal::SnapCtl* ctl);
 
   std::vector<internal::SnapCtl*> pending_;
+  mutable uint32_t open_borrows_ = 0;  // in-place borrows of pending_
 };
 
 // Trivial contiguous source over caller-owned bytes (tests, simple users).
@@ -122,7 +172,7 @@ class VectorSource final : public MemorySource {
   explicit VectorSource(std::vector<std::byte>* bytes) : bytes_(bytes) {}
   Status ReadAt(uint64_t offset, uint32_t length,
                 std::byte* dst) const override {
-    if (offset + length > bytes_->size()) {
+    if (!InBounds(offset, length, bytes_->size())) {
       return InvalidArgumentError("read beyond source");
     }
     std::memcpy(dst, bytes_->data() + offset, length);
@@ -154,9 +204,13 @@ class MemoryRegistry {
 
   bool IsLive(RegionId id) const;
 
-  // Copies out the bytes a remote read of this window observes *now*.
-  // Fails with PERMISSION_DENIED for unknown/revoked windows and
+  // Whether a remote access to [offset, offset+length) of the window is
+  // allowed: PERMISSION_DENIED for unknown/revoked windows and
   // INVALID_ARGUMENT for out-of-bounds.
+  Status CheckAccess(RegionId id, uint64_t offset, uint32_t length) const;
+
+  // Copies out the bytes a remote read of this window observes *now*, or
+  // fails as CheckAccess does.
   StatusOr<Bytes> ResolveCopy(RegionId id, uint64_t offset,
                               uint32_t length) const;
 
@@ -175,6 +229,9 @@ class MemoryRegistry {
     uint64_t size;
     bool revoked;
   };
+  // The window of an allowed access, or the CheckAccess failure.
+  StatusOr<const Window*> Access(RegionId id, uint64_t offset,
+                                 uint32_t length) const;
 
   RegionId next_id_ = 1;
   int64_t registrations_ = 0;

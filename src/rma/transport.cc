@@ -93,11 +93,8 @@ void Flip(net::FaultPlan& faults, BufferView& v) {
   v = faults.CorruptCow(std::move(v));
 }
 void Flip(net::FaultPlan& faults, ScarResult& r) {
-  if (!r.data.empty()) {
-    r.data = faults.CorruptCow(r.data.view());
-  } else {
-    Flip(faults, r.bucket);
-  }
+  Snapshot& victim = !r.data.empty() ? r.data : r.bucket;
+  victim = faults.CorruptCow(victim.view());
 }
 
 }  // namespace

@@ -28,12 +28,13 @@ namespace cm::rma {
 
 // Result of the custom Scan-and-Read op (§6.3): the NIC scans the Bucket
 // server-side for the requested KeyHash and returns the Bucket plus the
-// pointed-to DataEntry in a single round trip. The bucket is a refcounted
-// view of the backend-side materialization. The DataEntry is a Snapshot of
-// the scan instant: under R=3.2 the client validates the data of only one
-// replica, so only that replica's entry is copied, when the client reads it.
+// pointed-to DataEntry in a single round trip. Both are Snapshots of the
+// scan instant, so the scan copies nothing: the client decodes the bucket
+// in place (Snapshot::Borrow), validates the DataEntry of one replica in
+// place and copies out only its value. A write to either range before then
+// makes the backend copy the snapshot first (the BeforeWrite contract).
 struct ScarResult {
-  BufferView bucket;
+  Snapshot bucket;
   Snapshot data;  // empty when the scan found no matching IndexEntry
 };
 

@@ -94,7 +94,11 @@ class Simulator {
 
   // Starts a detached task: it runs until its first suspension immediately,
   // then continues via the event queue. Its frame self-destroys on
-  // completion.
+  // completion. The simulator never destroys a frame that is still
+  // suspended when it is itself destroyed: the frame's locals point into
+  // objects (fabric, transports, backends) that are usually gone by then.
+  // A caller that stops early (RunUntil) and needs every frame freed ends
+  // its loops and drains the queue with Run().
   void Spawn(Task<void> task);
 
   // Runs until the event queue is empty.

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <optional>
 
 #include "cliquemap/cell.h"
 #include "common/rng.h"
@@ -669,6 +670,96 @@ TEST_F(BackendFixture, ScarDataShowsTheScanInstant) {
   EXPECT_EQ(entry->key, key);
   EXPECT_EQ(ToString(entry->value), old_value);
   EXPECT_EQ(entry->version, *old_version);
+}
+
+// The entry for `hash` in an encoded bucket, if any.
+std::optional<IndexEntry> FindInBucket(ByteSpan bucket, const Hash128& hash,
+                                       int ways) {
+  for (int w = 0; w < ways; ++w) {
+    const size_t at = kBucketHeaderSize + size_t(w) * kIndexEntrySize;
+    if (at + kIndexEntrySize > bucket.size()) break;
+    IndexEntry e = DecodeIndexEntry(bucket.subspan(at));
+    if (e.keyhash == hash && !e.pointer.is_null()) return e;
+  }
+  return std::nullopt;
+}
+
+TEST_F(BackendFixture, ScarBucketShowsTheScanInstant) {
+  // A SCAR reply's bucket is a snapshot of the live index at the scan. An
+  // index write to that bucket (a SET's new version, an ERASE) must not
+  // change what the reply shows: the index copies it just before the write.
+  Init(TinyCell());
+  Backend& b = cell->backend(0);
+  const int ways = b.config().ways;
+  const auto len = static_cast<uint32_t>(BucketBytes(ways));
+  rma::RmaHostState* host = cell->rma_network().Find(b.host());
+  ASSERT_NE(host, nullptr);
+  auto scan = [&](const std::string& key) {
+    const Hash128 hash = HashKey(key);
+    return host->scar(hash.hi, hash.lo, b.index_region(),
+                      BucketIndex(hash, b.num_buckets()) * len, len);
+  };
+
+  const std::string key = "indexed";
+  ASSERT_TRUE(Put(key, "v1").ok());
+  const auto v1 = b.LookupVersion(key);
+  ASSERT_TRUE(v1.has_value());
+  const Hash128 hash = HashKey(key);
+
+  for (bool erase : {false, true}) {
+    SCOPED_TRACE(erase ? "erase" : "set");
+    auto scar = scan(key);
+    ASSERT_TRUE(scar.ok()) << scar.status().ToString();
+    ASSERT_EQ(scar->bucket.size(), len);
+    const auto before_write = scar->bucket.Borrow([&](ByteSpan bucket) {
+      return FindInBucket(bucket, hash, ways);
+    });
+    ASSERT_TRUE(before_write.has_value());
+    const VersionNumber scanned = before_write->version;
+
+    ASSERT_TRUE((erase ? Erase(key) : Put(key, "v2")).ok());
+    if (erase) {
+      EXPECT_FALSE(b.LookupVersion(key).has_value());
+    } else {
+      EXPECT_NE(*b.LookupVersion(key), scanned);
+    }
+    const int64_t before = BufferStats::bytes_copied();
+    const auto shown = scar->bucket.Borrow([&](ByteSpan bucket) {
+      return FindInBucket(bucket, hash, ways);
+    });
+    EXPECT_EQ(BufferStats::bytes_copied(), before);  // copied before the write
+    ASSERT_TRUE(shown.has_value());
+    EXPECT_EQ(shown->version, scanned);
+    EXPECT_EQ(shown->pointer.offset, before_write->pointer.offset);
+  }
+}
+
+TEST_F(BackendFixture, ScarBucketOutlivesItsIndex) {
+  // A restart, like a resize, replaces the index buffer wholesale. A SCAR
+  // bucket still pending on the old buffer is copied out before that
+  // buffer is freed, so it still shows the scan instant.
+  Init(TinyCell());
+  Backend& b = cell->backend(0);
+  const int ways = b.config().ways;
+  const auto len = static_cast<uint32_t>(BucketBytes(ways));
+  const std::string key = "first";
+  ASSERT_TRUE(Put(key, "v").ok());
+  const auto version = b.LookupVersion(key);
+  ASSERT_TRUE(version.has_value());
+  const Hash128 hash = HashKey(key);
+  rma::RmaHostState* host = cell->rma_network().Find(b.host());
+  ASSERT_NE(host, nullptr);
+  auto scar = host->scar(hash.hi, hash.lo, b.index_region(),
+                         BucketIndex(hash, b.num_buckets()) * len, len);
+  ASSERT_TRUE(scar.ok()) << scar.status().ToString();
+  b.Stop();
+  b.Start(b.config_id());
+  EXPECT_FALSE(b.LookupVersion(key).has_value());  // a fresh, empty index
+  const auto shown = scar->bucket.Borrow([&](ByteSpan bucket) {
+    return FindInBucket(bucket, hash, ways);
+  });
+  ASSERT_TRUE(shown.has_value());
+  EXPECT_EQ(shown->version, *version);
 }
 
 TEST_F(BackendFixture, InfoReportsLayout) {

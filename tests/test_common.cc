@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
 #include <set>
 #include <unordered_map>
@@ -179,6 +180,66 @@ TEST(Crc32cKernels, PortableMatchesBitwiseReference) {
 TEST(Crc32cKernels, HwMatchesBitwiseReference) {
   if (!crc32c_internal::HwAvailable()) GTEST_SKIP() << "no SSE4.2 crc32";
   ExpectMatchesBitwise(crc32c_internal::ExtendHw);
+}
+
+// The hardware kernel's three-lane blocks against the portable kernel:
+// every length 0..4096, every misaligned start, a nonzero starting CRC, and
+// lengths one either side of each multiple of the lane and of the block.
+TEST(Crc32cKernels, HwLanesMatchPortable) {
+  if (!crc32c_internal::HwAvailable()) GTEST_SKIP() << "no SSE4.2 crc32";
+  using crc32c_internal::ExtendHw;
+  using crc32c_internal::ExtendPortable;
+  using crc32c_internal::kHwLaneBytes;
+  Rng rng(0x3A7E5);
+  std::vector<uint8_t> buf(8 * 3 * kHwLaneBytes + 16);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.NextU64());
+  for (size_t len = 0; len <= 4096; ++len) {
+    ASSERT_EQ(ExtendHw(0, buf.data(), len), ExtendPortable(0, buf.data(), len))
+        << "len " << len;
+  }
+  std::vector<size_t> edges;
+  for (size_t k = 1; k <= 8 * 3; ++k) {
+    for (size_t len : {k * kHwLaneBytes - 1, k * kHwLaneBytes,
+                       k * kHwLaneBytes + 1}) {
+      edges.push_back(len);
+    }
+  }
+  for (size_t offset = 1; offset < 16; ++offset) {
+    const uint8_t* p = buf.data() + offset;
+    for (size_t len : edges) {
+      if (offset + len > buf.size()) continue;
+      for (uint32_t seed : {0u, 0xDEADBEEFu}) {
+        ASSERT_EQ(ExtendHw(seed, p, len), ExtendPortable(seed, p, len))
+            << "offset " << offset << " len " << len << " seed " << seed;
+      }
+    }
+  }
+}
+
+// Crc32c::Update chained over pieces that straddle lane and block edges
+// equals one call over the whole.
+TEST(Crc32cKernels, ChainedUpdatesAcrossLanesMatchOneShot) {
+  using crc32c_internal::kHwLaneBytes;
+  Rng rng(77);
+  Bytes data(10 * 3 * kHwLaneBytes + 5);
+  for (auto& b : data) b = static_cast<std::byte>(rng.NextU64());
+  const uint32_t whole = ComputeCrc32c(data);
+  EXPECT_EQ(whole, crc32c_internal::ExtendPortable(
+                       0, reinterpret_cast<const uint8_t*>(data.data()),
+                       data.size()));
+  for (size_t first : {size_t{1}, kHwLaneBytes - 1, 3 * kHwLaneBytes - 1,
+                       3 * kHwLaneBytes, 3 * kHwLaneBytes + 1,
+                       7 * kHwLaneBytes + 3}) {
+    Crc32c inc;
+    inc.Update(ByteSpan(data).subspan(0, first));
+    for (size_t pos = first; pos < data.size();) {
+      const size_t piece = std::min<size_t>(data.size() - pos,
+                                            1 + rng.NextBounded(2000));
+      inc.Update(ByteSpan(data).subspan(pos, piece));
+      pos += piece;
+    }
+    EXPECT_EQ(inc.value(), whole) << "first piece " << first;
+  }
 }
 
 TEST(Crc32cKernels, KernelsAgreeWithEachOtherAndTheDispatcher) {

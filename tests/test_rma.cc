@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -37,6 +38,25 @@ TEST(MemoryRegistry, OutOfBoundsRejected) {
   EXPECT_EQ(reg.ResolveCopy(id, 60, 10).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_TRUE(reg.ResolveCopy(id, 60, 4).ok());
+}
+
+TEST(MemoryRegistry, OffsetsNearTheTopOfTheRangeDoNotWrap) {
+  // offset + length wraps past 2^64 to a small number; the window check
+  // must still reject it rather than read before the buffer.
+  MemoryRegistry reg;
+  std::vector<std::byte> buf(4096);
+  VectorSource src(&buf);
+  RegionId id = reg.Register(&src, buf.size());
+  const uint64_t near_top = UINT64_MAX - 3;
+  EXPECT_EQ(reg.ResolveView(id, near_top, 8).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(reg.ResolveCopy(id, near_top, 8).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(reg.CheckAccess(id, near_top, 8).code(),
+            StatusCode::kInvalidArgument);
+  std::byte out[8];
+  EXPECT_FALSE(src.ReadAt(near_top, 8, out).ok());
+  EXPECT_TRUE(reg.CheckAccess(id, 4088, 8).ok());
 }
 
 TEST(MemoryRegistry, RevokedWindowDenied) {
@@ -95,7 +115,9 @@ TEST(MemoryRegistry, WindowSeesLiveGrowth) {
 // data pool.
 class WritableSource final : public MemorySource {
  public:
-  explicit WritableSource(size_t n) : bytes_(n) {
+  // A contiguous source lets borrows read its bytes in place.
+  explicit WritableSource(size_t n, bool contiguous = true)
+      : bytes_(n), contiguous_(contiguous) {
     for (size_t i = 0; i < n; ++i) bytes_[i] = static_cast<std::byte>(i);
   }
   ~WritableSource() override { MaterializeAll(); }
@@ -109,6 +131,10 @@ class WritableSource final : public MemorySource {
     return OkStatus();
   }
   uint64_t size() const override { return bytes_.size(); }
+  ByteSpan Peek(uint64_t offset, uint32_t length) const override {
+    if (!contiguous_) return {};
+    return ByteSpan(bytes_).subspan(offset, length);
+  }
 
   void Fill(uint64_t offset, uint64_t length, std::byte v) {
     BeforeWrite(offset, length);
@@ -117,6 +143,7 @@ class WritableSource final : public MemorySource {
 
  private:
   std::vector<std::byte> bytes_;
+  bool contiguous_;
 };
 
 std::vector<std::byte> Expected(uint64_t offset, uint32_t length) {
@@ -231,6 +258,89 @@ TEST(Snapshot, WrapsMaterializedBytesAndEmptyRanges) {
   EXPECT_EQ(src.pending_snapshots(), 0u);
 }
 
+TEST(Snapshot, DeferNearTheTopOfTheRangeIsEmpty) {
+  WritableSource src(4096);
+  EXPECT_TRUE(src.Defer(UINT64_MAX - 3, 8).empty());
+  EXPECT_TRUE(src.Defer(UINT64_MAX, 1).empty());
+  EXPECT_EQ(src.pending_snapshots(), 0u);
+}
+
+// Whether `bytes` holds Expected(offset, length).
+bool Holds(ByteSpan bytes, uint64_t offset, uint32_t length) {
+  const std::vector<std::byte> want = Expected(offset, length);
+  return bytes.size() == want.size() &&
+         std::equal(bytes.begin(), bytes.end(), want.begin());
+}
+
+TEST(Snapshot, BorrowOfAPendingSnapshotCopiesNothing) {
+  WritableSource src(256);
+  Snapshot snap = src.Defer(64, 32);
+  const int64_t before = BufferStats::bytes_copied();
+  EXPECT_TRUE(snap.Borrow([](ByteSpan b) { return Holds(b, 64, 32); }));
+  EXPECT_EQ(BufferStats::bytes_copied(), before);
+  EXPECT_EQ(src.pending_snapshots(), 1u);  // still pending
+  // A write after the borrow still keeps the instant's bytes.
+  src.Fill(64, 32, std::byte{0xEE});
+  EXPECT_TRUE(snap.Borrow([](ByteSpan b) { return Holds(b, 64, 32); }));
+}
+
+TEST(Snapshot, BorrowAfterMaterializationReadsTheCopy) {
+  WritableSource src(256);
+  Snapshot snap = src.Defer(64, 32);
+  src.Fill(70, 2, std::byte{0xEE});  // copies the snapshot out first
+  const BufferView& copy = snap.view();
+  const int64_t before = BufferStats::bytes_copied();
+  snap.Borrow([&](ByteSpan b) {
+    EXPECT_EQ(b.data(), copy.data());
+    EXPECT_TRUE(Holds(b, 64, 32));
+    return 0;
+  });
+  EXPECT_EQ(BufferStats::bytes_copied(), before);
+}
+
+TEST(Snapshot, BorrowOfANonContiguousSourceMaterializesOnce) {
+  WritableSource src(256, /*contiguous=*/false);
+  Snapshot snap = src.Defer(8, 16);
+  const int64_t before = BufferStats::bytes_copied();
+  EXPECT_TRUE(snap.Borrow([](ByteSpan b) { return Holds(b, 8, 16); }));
+  EXPECT_EQ(BufferStats::bytes_copied() - before, 16);
+  EXPECT_EQ(src.pending_snapshots(), 0u);
+  EXPECT_TRUE(snap.Borrow([](ByteSpan b) { return Holds(b, 8, 16); }));
+  EXPECT_EQ(BufferStats::bytes_copied() - before, 16);
+}
+
+TEST(Snapshot, SliceCopiesOnlyItsBytes) {
+  WritableSource src(256);
+  Snapshot snap = src.Defer(16, 64);
+  const int64_t before = BufferStats::bytes_copied();
+  const BufferView part = snap.Slice(8, 10);
+  EXPECT_EQ(BufferStats::bytes_copied() - before, 10);
+  EXPECT_TRUE(Holds(part, 24, 10));
+  EXPECT_EQ(src.pending_snapshots(), 1u);
+  EXPECT_TRUE(snap.Slice(3, 0).empty());
+  // Once materialized, a slice shares the copy.
+  const BufferView& whole = snap.view();
+  EXPECT_EQ(BufferStats::bytes_copied() - before, 10 + 64);
+  const BufferView shared = snap.Slice(8, 10);
+  EXPECT_EQ(shared.data(), whole.data() + 8);
+  EXPECT_EQ(BufferStats::bytes_copied() - before, 10 + 64);
+}
+
+#ifndef NDEBUG
+TEST(SnapshotDeathTest, WriteInsideABorrowAsserts) {
+  EXPECT_DEATH(
+      {
+        WritableSource src(64);
+        Snapshot snap = src.Defer(0, 16);
+        snap.Borrow([&](ByteSpan) {
+          src.Fill(0, 4, std::byte{0xEE});
+          return 0;
+        });
+      },
+      "open_borrows_");
+}
+#endif
+
 // ---------------------------------------------------------------------------
 // Transports
 // ---------------------------------------------------------------------------
@@ -307,7 +417,8 @@ TEST_F(RmaFixture, SoftNicScarExecutesInstalledExecutor) {
                   -> StatusOr<ScarResult> {
         EXPECT_EQ(hi, 0xAAu);
         EXPECT_EQ(lo, 0xBBu);
-        return ScarResult{cm::ToBytes("bucket"), BufferView(cm::ToBytes("data"))};
+        return ScarResult{BufferView(cm::ToBytes("bucket")),
+                          BufferView(cm::ToBytes("data"))};
       });
   StatusOr<ScarResult> out = InternalError("never ran");
   sim.Spawn([](SoftNicTransport& t, net::HostId c, net::HostId s, RegionId r,
@@ -316,7 +427,7 @@ TEST_F(RmaFixture, SoftNicScarExecutesInstalledExecutor) {
   }(t, client, server, region, out));
   sim.Run();
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(cm::ToString(out->bucket), "bucket");
+  EXPECT_EQ(cm::ToString(out->bucket.view()), "bucket");
   EXPECT_EQ(cm::ToString(out->data.view()), "data");
   EXPECT_EQ(t.stats().scars, 1);
 }
@@ -342,7 +453,7 @@ TEST_F(RmaFixture, ScarTargetStoppedDuringEngineWorkFails) {
     rma_network.InstallScar(
         server, [](uint64_t, uint64_t, RegionId, uint64_t,
                    uint32_t) -> StatusOr<ScarResult> {
-          return ScarResult{cm::ToBytes("bucket"), Snapshot()};
+          return ScarResult{BufferView(cm::ToBytes("bucket")), Snapshot()};
         });
     Status status = InternalError("never ran");
     sim.Spawn([](SoftNicTransport& t, net::HostId c, net::HostId s,
@@ -405,6 +516,19 @@ TEST_F(RmaFixture, HwRmaReadWorksWithoutServerCpuOrEngines) {
   EXPECT_EQ((*out)[0], std::byte{8});
   EXPECT_EQ(fabric.host(server).cpu().total_busy_ns(), 0);
   EXPECT_EQ(t.hw_timestamps().count(), 1);
+}
+
+TEST_F(RmaFixture, ReadNearTheTopOfTheRangeIsOutOfBounds) {
+  // A corrupt or hostile pointer carries a client-chosen offset into the
+  // target's window check; offset + length must not wrap into range.
+  SoftNicTransport soft(fabric, rma_network);
+  HwRmaTransport hw(fabric, rma_network);
+  for (RmaTransport* t : {static_cast<RmaTransport*>(&soft),
+                          static_cast<RmaTransport*>(&hw)}) {
+    auto out = RunRead(*t, region, UINT64_MAX - 3, 8);
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(t->stats().failed_ops, 1);
+  }
 }
 
 TEST_F(RmaFixture, HwRmaRefusesScar) {
@@ -552,7 +676,7 @@ struct GoldenWorld {
   }
   std::string Slot(const ScarResult& r, uint64_t bucket_offset,
                    uint64_t data_offset) const {
-    return "b" + Slot(r.bucket, bucket_offset) + "/d" +
+    return "b" + Slot(r.bucket.view(), bucket_offset) + "/d" +
            Slot(r.data.view(), data_offset);
   }
   template <class T, class F>
