@@ -25,7 +25,6 @@ namespace cm::baseline {
 
 struct MemcachegConfig {
   uint64_t capacity_bytes = 64ull << 20;  // per server, LRU-bounded
-  sim::Duration handler_cpu = sim::Microseconds(2);
 };
 
 class MemcachegServer {

@@ -4,6 +4,16 @@
 #include <cassert>
 
 namespace cm::cliquemap {
+namespace {
+// Index reshaping (§4.1) multiplies the bucket count by this.
+constexpr double kIndexGrowFactor = 2.0;
+// The data region starts growing asynchronously at this slab utilization.
+constexpr double kDataHighWatermark = 0.80;
+// Keyed tombstones remembered for erased keys.
+constexpr size_t kTombstoneCapacity = 4096;
+// Registering a resized region with the NIC, on the host CPU.
+constexpr sim::Duration kMemoryRegistrationCost = sim::Microseconds(40);
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Memory sources
@@ -134,7 +144,7 @@ Backend::Backend(net::Fabric& fabric, rpc::RpcNetwork& rpc_network,
       shard_(shard),
       config_(std::move(config)),
       rng_(config_.seed ^ (uint64_t{host} << 32) ^ shard),
-      tombstones_(config_.tombstone_capacity),
+      tombstones_(kTombstoneCapacity),
       exports_(&fabric.metrics()) {
   const metrics::Labels l = {{"host", std::to_string(host_)}};
   metrics::ExportCounters(exports_, "cm.backend.", l, stats_);
@@ -590,7 +600,7 @@ sim::Task<void> Backend::ResizeIndex() {
   // Registration + repopulation cost on the host CPU (handlers are cheap;
   // registration is "widely recognized to be expensive").
   co_await fabric_.host(host_).cpu().Run(
-      config_.memory_registration_cost +
+      kMemoryRegistrationCost +
       sim::Nanoseconds(static_cast<int64_t>(50 * live_entries())));
   if (!serving_) {
     index_resizing_ = false;
@@ -602,8 +612,8 @@ sim::Task<void> Backend::ResizeIndex() {
   // time: no suspension between here and the swap below). If some bucket
   // still overflows its ways, double again — upsizing exists precisely to
   // make associativity conflicts rare (§4.2).
-  auto new_buckets = static_cast<uint64_t>(double(num_buckets_) *
-                                           config_.index_grow_factor);
+  auto new_buckets =
+      static_cast<uint64_t>(double(num_buckets_) * kIndexGrowFactor);
   std::unique_ptr<IndexBuffer> new_index;
   std::unordered_map<Hash128, Location> new_locations;
   std::vector<Hash128> unplaced;
@@ -698,7 +708,7 @@ sim::Task<void> Backend::ResizeIndex() {
 
 void Backend::MaybeScheduleDataGrow(bool force) {
   if (data_growing_ || !serving_ || !slab_->CanGrow()) return;
-  if (!force && slab_->Utilization() < config_.data_high_watermark) return;
+  if (!force && slab_->Utilization() < kDataHighWatermark) return;
   data_growing_ = true;
   grow_done_ = std::make_unique<sim::Notification>(sim_);
   sim_.Spawn(GrowData());
@@ -708,7 +718,7 @@ sim::Task<void> Backend::GrowData() {
   ++stats_.data_grows;
   // Kernel memory management has unpredictable duration: charge the
   // registration cost off the serving path (§4.1).
-  co_await fabric_.host(host_).cpu().Run(config_.memory_registration_cost);
+  co_await fabric_.host(host_).cpu().Run(kMemoryRegistrationCost);
   if (!serving_) {
     data_growing_ = false;
     if (grow_done_) grow_done_->Notify();
@@ -1538,7 +1548,6 @@ sim::Task<Status> Backend::MigrateTo(net::HostId target_host) {
   if (!serving_) co_return FailedPreconditionError("backend not serving");
   rpc::RpcChannel ch(rpc_network_, host_, target_host);
 
-  constexpr size_t kBatchBytes = 128 * 1024;
   Bytes batch;
   // Sends the batch once it holds at least `min_bytes`.
   auto flush = [&](size_t min_bytes) -> sim::Task<Status> {
@@ -1547,7 +1556,7 @@ sim::Task<Status> Backend::MigrateTo(net::HostId target_host) {
     w.PutBytes(proto::kTagRecords, batch);
     batch.clear();
     auto resp = co_await ch.Call(proto::kMethodInstallBulk,
-                                 std::move(w).Take(), sim::Seconds(5));
+                                 std::move(w).Take(), kBulkInstallTimeout);
     co_return resp.status();
   };
 
@@ -1572,7 +1581,7 @@ sim::Task<Status> Backend::MigrateTo(net::HostId target_host) {
     auto view = ReadRecord(*r, raw);  // view aliases `raw`
     if (!view.ok()) continue;
     proto::AppendBulkRecord(batch, view->key, view->value, view->version);
-    if (Status s = co_await flush(kBatchBytes); !s.ok()) co_return s;
+    if (Status s = co_await flush(kBulkBatchBytes); !s.ok()) co_return s;
   }
   // Exact keyed tombstones follow, listed only now so that an erase acked
   // while a resident batch was in flight still reaches the target: they can
@@ -1586,7 +1595,7 @@ sim::Task<Status> Backend::MigrateTo(net::HostId target_host) {
     if (it == tombstones_.entries().end() || it->second.key.empty()) continue;
     proto::AppendBulkRecord(batch, it->second.key, {}, it->second.version,
                             true);
-    if (Status s = co_await flush(kBatchBytes); !s.ok()) co_return s;
+    if (Status s = co_await flush(kBulkBatchBytes); !s.ok()) co_return s;
   }
   // Tombstone summary (keyless tombstones; the summary bounds them).
   proto::AppendBulkRecord(batch, "", {}, tombstones_.WorstCaseSummary(), true);

@@ -40,13 +40,11 @@ struct BackendConfig {
   uint64_t initial_buckets = 128;
   // Index reshaping (§4.1): upsize at this load factor.
   double index_load_limit = 0.75;
-  double index_grow_factor = 2.0;
 
   // Data region (§4.1): max virtual reservation, populated prefix, and the
-  // high-watermark policy for asynchronous growth.
+  // factor of each asynchronous growth.
   uint64_t data_max_bytes = 256ull << 20;
   uint64_t data_initial_bytes = 1ull << 20;
-  double data_high_watermark = 0.80;
   double data_grow_factor = 2.0;
   SlabConfig slab;
 
@@ -54,10 +52,8 @@ struct BackendConfig {
   // Optional RPC fallback for bucket overflow (§4.2): overflowing keys stay
   // servable via RPC instead of forcing an associativity eviction.
   bool rpc_fallback_on_overflow = false;
-  size_t tombstone_capacity = 4096;
 
   // Cost model.
-  sim::Duration memory_registration_cost = sim::Microseconds(40);
   sim::Duration handler_base_cpu = sim::Microseconds(2);
   // Framework cost model for this backend's RpcServer. Defaults match the
   // paper's measured stack (§2.1); benches exploring CPU-contention regimes
@@ -79,6 +75,11 @@ struct BackendConfig {
 
   uint64_t seed = 1;
 };
+
+// Record streams (MigrateTo, the resharder's) send InstallBulk batches of
+// at least this many bytes and give each call this long.
+inline constexpr size_t kBulkBatchBytes = 128 * 1024;
+inline constexpr sim::Duration kBulkInstallTimeout = sim::Seconds(5);
 
 // Backend counters, exported as cm.backend.<field>{host=...}.
 #define CM_BACKEND_STATS(X)                                                   \
@@ -201,7 +202,8 @@ class Backend {
 
   // Migration (§6.1) ----------------------------------------------------
   // Streams the full contents (and tombstones) to the backend at
-  // `target_host` via InstallBulk RPCs. Used for warm-spare handoff.
+  // `target_host` via InstallBulk RPCs of kBulkBatchBytes. Used for
+  // warm-spare handoff.
   sim::Task<Status> MigrateTo(net::HostId target_host);
 
   // Resharding support ---------------------------------------------------

@@ -4,6 +4,10 @@
 #include <cstdio>
 
 namespace cm::cliquemap {
+namespace {
+// TrueTime's instantaneous uncertainty bound.
+constexpr sim::Duration kTrueTimeEpsilon = sim::Milliseconds(1);
+}  // namespace
 
 Cell::Cell(sim::Simulator& sim, CellOptions options)
     : sim_(sim), options_(std::move(options)) {
@@ -11,7 +15,7 @@ Cell::Cell(sim::Simulator& sim, CellOptions options)
   rpc_network_ = std::make_unique<rpc::RpcNetwork>(*fabric_);
   rma_network_ = std::make_unique<rma::RmaNetwork>();
   truetime_ = std::make_unique<truetime::TrueTime>(
-      sim_, options_.truetime_epsilon, options_.seed);
+      sim_, kTrueTimeEpsilon, options_.seed);
   switch (options_.transport) {
     case TransportKind::kSoftNic:
       transport_ = std::make_unique<rma::SoftNicTransport>(

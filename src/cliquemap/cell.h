@@ -34,8 +34,6 @@ struct CellOptions {
   net::HostConfig client_host;
   BackendConfig backend;
   rma::SoftNicConfig softnic;
-  rma::HwRmaConfig hwrma = rma::HwRmaConfig::OneRma();
-  sim::Duration truetime_epsilon = sim::Milliseconds(1);
   // Cell-wide key hash (§6.5); propagated to backends and clients.
   HashFn hash_fn = &HashKey;
   // How long a backend binary restart takes during maintenance.

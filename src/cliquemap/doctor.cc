@@ -7,6 +7,18 @@
 #include "sim/sync.h"
 
 namespace cm::cliquemap {
+namespace {
+// Gray-failure (slow) classification: a backend whose probe-latency EWMA
+// exceeds kSlowFactor x the cell median (with >= 3 samples) is SLOW. The
+// doctor does not rebuild slow backends — client-side hedging and outlier
+// ejection defend the tail — it only classifies and counts them.
+constexpr double kEwmaAlpha = 0.2;
+constexpr double kSlowFactor = 4.0;
+// A failure domain whose every member is SUSPECT/DEAD, and which has at
+// least this many members, is declared DOMAIN_DOWN: one event, not N
+// independent ones.
+constexpr int kDomainDownThreshold = 2;
+}  // namespace
 
 const char* BackendHealthName(BackendHealth h) {
   if (h == BackendHealth::kHealthy) return "healthy";
@@ -19,7 +31,7 @@ CellDoctor::CellDoctor(Cell& cell, DoctorOptions options)
     : cell_(cell),
       sim_(cell.simulator()),
       options_(options),
-      resharder_(cell, options.resharder),
+      resharder_(cell),
       exports_(&cell.metrics()) {
   metrics::ExportCounters(exports_, "cm.doctor.", {}, stats_);
   exports_.ExportGauge("cm.doctor.active_recoveries", {}, [this] {
@@ -113,7 +125,7 @@ sim::Task<void> CellDoctor::ControlLoop(std::shared_ptr<bool> alive) {
     if (!*alive || !running_) co_return;
 
     Classify();
-    if (options_.auto_recover) MaybeRecover();
+    MaybeRecover();
   }
 }
 
@@ -136,8 +148,7 @@ sim::Task<void> CellDoctor::ProbeShard(uint32_t shard,
     const double sample = static_cast<double>(sim_.now() - start);
     st.ewma_ns = st.ewma_ns == 0.0
                      ? sample
-                     : options_.ewma_alpha * sample +
-                           (1.0 - options_.ewma_alpha) * st.ewma_ns;
+                     : kEwmaAlpha * sample + (1.0 - kEwmaAlpha) * st.ewma_ns;
   } else {
     ++st.misses;
     ++stats_.probe_failures;
@@ -182,7 +193,7 @@ void CellDoctor::Classify() {
         // Reachable but unable to renew: one-way partition between the
         // backend and the membership service. Never a rebuild trigger.
         next = BackendHealth::kSuspect;
-      } else if (median > 0.0 && st.ewma_ns > options_.slow_factor * median) {
+      } else if (median > 0.0 && st.ewma_ns > kSlowFactor * median) {
         next = BackendHealth::kSlow;
       } else {
         next = BackendHealth::kHealthy;
@@ -225,7 +236,7 @@ void CellDoctor::Classify() {
   }
   for (const auto& [d, counts] : domains) {
     const bool down = counts.second == counts.first &&
-                      counts.first >= options_.domain_down_threshold;
+                      counts.first >= kDomainDownThreshold;
     bool& was_down = domain_down_[d];
     if (down && !was_down) ++stats_.domain_down_events;
     if (!down && was_down) ++stats_.domain_down_cleared;
@@ -240,12 +251,13 @@ void CellDoctor::MaybeRecover() {
   // Majority-dead brake: when most of the cell reads DEAD at once, the far
   // likelier explanation is that *we* are partitioned from it — mass
   // rebuilds here would shred a healthy cell. Hold all reconfiguration
-  // until the verdict share drops below a majority.
+  // until the verdict share drops below a majority. Only cells of >= 3
+  // shards engage it, where "majority" means something.
   int dead = 0;
   for (const ShardState& st : shards_) {
     if (st.health == BackendHealth::kDead) ++dead;
   }
-  if (options_.majority_brake && n >= 3 && 2 * dead > static_cast<int>(n)) {
+  if (n >= 3 && 2 * dead > static_cast<int>(n)) {
     if (!majority_hold_) {
       majority_hold_ = true;
       ++stats_.majority_dead_holds;

@@ -63,34 +63,17 @@ struct DoctorOptions {
   sim::Duration probe_timeout = sim::Milliseconds(5);
   int suspect_after_misses = 2;
   int dead_after_misses = 5;
-  // Gray-failure (slow) classification: a backend whose probe-latency EWMA
-  // exceeds slow_factor x the cell median (with >= 3 samples) is SLOW. The
-  // doctor does not rebuild slow backends — client-side hedging and outlier
-  // ejection defend the tail — it only classifies and counts them.
-  double ewma_alpha = 0.2;
-  double slow_factor = 4.0;
 
   // Membership.
   sim::Duration heartbeat_interval = sim::Milliseconds(20);
   sim::Duration lease_duration = sim::Milliseconds(100);
 
   // Recovery orchestration.
-  bool auto_recover = true;
   // Models spare capacity: when false a dead shard is left temporarily
   // down-replicated (counted) instead of replaced.
   bool allow_replacement = true;
   sim::Duration cooldown = sim::Seconds(5);  // per-shard, anti-flap
   int max_concurrent_recoveries = 1;
-  // Correlated-failure handling. A failure domain whose every member is
-  // SUSPECT/DEAD (and has at least this many members) is declared DOMAIN_DOWN
-  // — one event, not N independent ones.
-  int domain_down_threshold = 2;
-  // Majority-dead brake: when more than half the cell reads DEAD the far
-  // likelier explanation is a partitioned observer (this doctor), not mass
-  // hardware loss. Hold all reconfiguration until the verdict share drops.
-  // Only engages in cells of >= 3 shards, where "majority" means something.
-  bool majority_brake = true;
-  ResharderOptions resharder;
 };
 
 // Doctor counters, exported as cm.doctor.<field>.

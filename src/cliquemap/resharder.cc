@@ -3,6 +3,12 @@
 #include <algorithm>
 
 namespace cm::cliquemap {
+namespace {
+// A failed InstallBulk batch is resent up to this many times, the n-th
+// retry after n x kRetryBackoff.
+constexpr int kMaxBatchRetries = 20;
+constexpr sim::Duration kRetryBackoff = sim::Milliseconds(5);
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Operation builders
@@ -249,14 +255,12 @@ sim::Task<Status> Resharder::Run(Transition t) {
     }
   }
 
-  // 4. Quorum-read + repair passes under the window view: seeds replicas a
-  // stream cannot (up-replication) and converges cohorts after a resize.
+  // 4. One quorum-read + repair pass under the window view: seeds replicas
+  // a stream cannot (up-replication) and converges cohorts after a resize.
   if (t.post_repair) {
-    for (int round = 0; round < options_.repair_rounds; ++round) {
-      for (uint32_t s = 0; s < cell_.num_shards(); ++s) {
-        co_await cell_.backend(s).RecoverFromCohort();
-        ++stats_.repair_passes;
-      }
+    for (uint32_t s = 0; s < cell_.num_shards(); ++s) {
+      co_await cell_.backend(s).RecoverFromCohort();
+      ++stats_.repair_passes;
     }
   }
 
@@ -348,15 +352,15 @@ sim::Task<Status> Resharder::SendBatch(net::HostId from, net::HostId to,
   w.PutBytes(proto::kTagRecords, batch);
   const Bytes request = std::move(w).Take();
   Status last = UnavailableError("no attempt");
-  for (int attempt = 0; attempt <= options_.max_batch_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kMaxBatchRetries; ++attempt) {
     if (attempt > 0) {
       ++stats_.batch_retries;
-      co_await cell_.simulator().Delay(options_.retry_backoff *
+      co_await cell_.simulator().Delay(kRetryBackoff *
                                        static_cast<sim::Duration>(attempt));
     }
     rpc::RpcChannel ch(cell_.rpc_network(), from, to);
     auto resp = co_await ch.Call(proto::kMethodInstallBulk, request,
-                                 options_.install_timeout);
+                                 kBulkInstallTimeout);
     if (resp.ok()) {
       ++stats_.batches_sent;
       co_return OkStatus();

@@ -37,15 +37,10 @@ namespace cm::cliquemap {
 
 struct ResharderOptions {
   // Record streaming.
-  size_t batch_bytes = 128 * 1024;
-  sim::Duration install_timeout = sim::Seconds(5);
-  int max_batch_retries = 20;
-  sim::Duration retry_backoff = sim::Milliseconds(5);
+  size_t batch_bytes = kBulkBatchBytes;
   // How long retirees keep answering dual-version reads after commit, so
   // clients holding the window view drain off them gracefully.
   sim::Duration release_linger = sim::Milliseconds(100);
-  // Quorum-read + repair passes run while the window is open.
-  int repair_rounds = 1;
 };
 
 struct ResharderStats {

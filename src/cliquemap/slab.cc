@@ -5,6 +5,10 @@
 #include <cmath>
 
 namespace cm::cliquemap {
+namespace {
+// Geometric class ladder factor (1.5x keeps internal fragmentation <33%).
+constexpr double kClassGrowth = 1.5;
+}  // namespace
 
 SlabAllocator::SlabAllocator(uint64_t max_bytes, uint64_t initial_populated,
                              const SlabConfig& config)
@@ -14,7 +18,7 @@ SlabAllocator::SlabAllocator(uint64_t max_bytes, uint64_t initial_populated,
   uint64_t c = config_.min_class_bytes;
   while (c < config_.slab_bytes) {
     class_bytes_.push_back(static_cast<uint32_t>(c));
-    auto next = static_cast<uint64_t>(std::ceil(double(c) * config_.class_growth));
+    auto next = static_cast<uint64_t>(std::ceil(double(c) * kClassGrowth));
     c = std::max(next, c + 16);
   }
   class_bytes_.push_back(static_cast<uint32_t>(config_.slab_bytes));

@@ -23,8 +23,6 @@ namespace cm::cliquemap {
 struct SlabConfig {
   uint64_t slab_bytes = 64 * 1024;
   uint32_t min_class_bytes = 64;
-  // Geometric class ladder factor (1.5x keeps internal fragmentation <33%).
-  double class_growth = 1.5;
 };
 
 class SlabAllocator {

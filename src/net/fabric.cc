@@ -64,11 +64,15 @@ HostId Fabric::AddHost(const HostConfig& config) {
   return id;
 }
 
+namespace {
+constexpr int64_t kMtuBytes = 5000;        // 5KB MTU per the paper
+constexpr int64_t kPerFrameOverhead = 80;  // headers per MTU frame
+}  // namespace
+
 int64_t Fabric::WireBytes(int64_t payload_bytes) const {
   int64_t frames =
-      std::max<int64_t>(1, (payload_bytes + config_.mtu_bytes - 1) /
-                               config_.mtu_bytes);
-  return payload_bytes + frames * config_.per_frame_overhead;
+      std::max<int64_t>(1, (payload_bytes + kMtuBytes - 1) / kMtuBytes);
+  return payload_bytes + frames * kPerFrameOverhead;
 }
 
 sim::Time Fabric::ReserveTransfer(HostId src, HostId dst,

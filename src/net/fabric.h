@@ -67,8 +67,6 @@ class Host {
 
 struct FabricConfig {
   sim::Duration base_rtt = sim::Microseconds(4);  // propagation + switching
-  int64_t mtu_bytes = 5000;                        // 5KB MTU per the paper
-  int64_t per_frame_overhead = 80;                 // headers per MTU frame
 };
 
 class Fabric {

@@ -4,7 +4,7 @@ namespace cm::rma {
 
 HwRmaTransport::HwRmaTransport(net::Fabric& fabric, RmaNetwork& rma_network,
                                const HwRmaConfig& config)
-    : OneSidedTransport(fabric, rma_network, "hw", config),
+    : OneSidedTransport(fabric, rma_network, "hw"),
       config_(config) {
   exports_.ExportHistogram("cm.rma.hw_timestamps_ns", {{"transport", "hw"}},
                            &hw_timestamps_);

@@ -19,7 +19,7 @@
 
 namespace cm::rma {
 
-struct HwRmaConfig : WireConfig {
+struct HwRmaConfig {
   // Fixed NIC pipeline latency per op, each side.
   sim::Duration nic_pipeline_latency = sim::Nanoseconds(300);
   // PCIe read of the target memory: DMA setup + payload at pcie_gbps.

@@ -227,16 +227,6 @@ Status MemoryRegistry::CheckAccess(RegionId id, uint64_t offset,
   return Access(id, offset, length).status();
 }
 
-StatusOr<Bytes> MemoryRegistry::ResolveCopy(RegionId id, uint64_t offset,
-                                            uint32_t length) const {
-  auto w = Access(id, offset, length);
-  if (!w.ok()) return w.status();
-  Bytes out(length);
-  Status s = (*w)->source->ReadAt(offset, length, out.data());
-  if (!s.ok()) return s;
-  return out;
-}
-
 StatusOr<BufferView> MemoryRegistry::ResolveView(RegionId id, uint64_t offset,
                                                  uint32_t length) const {
   auto w = Access(id, offset, length);

@@ -210,14 +210,10 @@ class MemoryRegistry {
   Status CheckAccess(RegionId id, uint64_t offset, uint32_t length) const;
 
   // Copies out the bytes a remote read of this window observes *now*, or
-  // fails as CheckAccess does.
-  StatusOr<Bytes> ResolveCopy(RegionId id, uint64_t offset,
-                              uint32_t length) const;
-
-  // Same semantics, but materializes into a shareable slab-backed view: the
-  // one copy out of backend memory that the rest of the delivery path
-  // (fabric hops, fault COW, client decode slices) shares without copying.
-  // The materialization is counted in BufferStats::bytes_copied.
+  // fails as CheckAccess does, into a shareable slab-backed view: the one
+  // copy out of backend memory that the rest of the delivery path (fabric
+  // hops, fault COW, client decode slices) shares without copying. The
+  // materialization is counted in BufferStats::bytes_copied.
   StatusOr<BufferView> ResolveView(RegionId id, uint64_t offset,
                                    uint32_t length) const;
 

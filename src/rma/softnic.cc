@@ -4,6 +4,20 @@
 
 namespace cm::rma {
 
+namespace {
+// Window utilization above which a group adds an engine, and below which it
+// retires one.
+constexpr double kScaleOutThreshold = 0.80;
+constexpr double kScaleInThreshold = 0.25;
+// Each vector entry past the first adds an incremental slice of engine
+// time, not a full service time: the amortization MultiGet exploits.
+constexpr sim::Duration kTargetVectorEntryCost = sim::Nanoseconds(120);
+// SCAR scan work per 64 B of bucket.
+constexpr sim::Duration kScarPerEntryScanCost = sim::Nanoseconds(8);
+// Two-sided messaging: the engine must wake a server application thread.
+constexpr sim::Duration kTargetMsgWakeCost = sim::Microseconds(2);
+}  // namespace
+
 EngineGroup::EngineGroup(sim::Simulator& sim, const SoftNicConfig& config)
     : sim_(sim), config_(config) {
   busy_until_.assign(static_cast<size_t>(config.max_engines), sim::Time{0});
@@ -28,9 +42,9 @@ void EngineGroup::MaybeRescale() {
   const double capacity =
       double(active_) * double(now - window_start_);
   const double util = capacity > 0 ? double(window_busy_ns_) / capacity : 0.0;
-  if (util > config_.scale_out_threshold && active_ < config_.max_engines) {
+  if (util > kScaleOutThreshold && active_ < config_.max_engines) {
     ++active_;
-  } else if (util < config_.scale_in_threshold && active_ > 1) {
+  } else if (util < kScaleInThreshold && active_ > 1) {
     --active_;
   }
   window_start_ = now;
@@ -40,7 +54,7 @@ void EngineGroup::MaybeRescale() {
 SoftNicTransport::SoftNicTransport(net::Fabric& fabric,
                                    RmaNetwork& rma_network,
                                    const SoftNicConfig& config)
-    : OneSidedTransport(fabric, rma_network, "softnic", config),
+    : OneSidedTransport(fabric, rma_network, "softnic"),
       config_(config) {}
 
 EngineGroup& SoftNicTransport::engines(net::HostId host) {
@@ -74,8 +88,7 @@ sim::Time SoftNicTransport::PostDone(net::HostId initiator) {
 sim::Time SoftNicTransport::ReadWorkDone(net::HostId target,
                                          std::span<const ReadVEntry> entries) {
   const auto extra = static_cast<int64_t>(entries.size()) - 1;
-  return Book(target, config_.target_read_cost +
-                          config_.target_vector_entry_cost * extra,
+  return Book(target, config_.target_read_cost + kTargetVectorEntryCost * extra,
               stats_.target_nic_ns);
 }
 
@@ -84,9 +97,9 @@ sim::Time SoftNicTransport::ScarWorkDone(net::HostId target,
                                          std::span<const ScarVEntry> entries) {
   const auto extra = static_cast<int64_t>(entries.size()) - 1;
   sim::Duration cost =
-      config_.target_scar_cost + config_.target_vector_entry_cost * extra;
+      config_.target_scar_cost + kTargetVectorEntryCost * extra;
   for (const ScarVEntry& e : entries) {
-    cost += config_.scar_per_entry_scan_cost * (e.bucket_len / 64);
+    cost += kScarPerEntryScanCost * (e.bucket_len / 64);
   }
   return Book(target, cost, stats_.target_nic_ns);
 }
@@ -109,7 +122,7 @@ sim::Task<StatusOr<Bytes>> SoftNicTransport::Message(
   co_await sim.WaitUntil(PostDone(initiator));
   net::MessageFate cmd = co_await fabric_.TransferFaulty(
       initiator, target,
-      config_.command_bytes + static_cast<int64_t>(payload.size()), span);
+      kCommandBytes + static_cast<int64_t>(payload.size()), span);
   if (!cmd.delivered || cmd.corrupt) {
     // Two-sided messaging carries a software checksum: a corrupted request
     // is discarded at the receiver, indistinguishable from a drop.
@@ -119,10 +132,10 @@ sim::Task<StatusOr<Bytes>> SoftNicTransport::Message(
 
   // Engine receives the message, then must wake an application thread — the
   // overhead that makes MSG significantly costlier than SCAR (Fig 7).
-  stats_.target_nic_ns += config_.target_msg_wake_cost;
+  stats_.target_nic_ns += kTargetMsgWakeCost;
   co_await sim.WaitUntil(
       Book(target, config_.target_read_cost, stats_.target_nic_ns));
-  co_await fabric_.host(target).cpu().Run(config_.target_msg_wake_cost +
+  co_await fabric_.host(target).cpu().Run(kTargetMsgWakeCost +
                                           handler_cpu_cost);
   StatusOr<Bytes> response = co_await handler(payload);
   if (!response.ok()) {
@@ -132,7 +145,7 @@ sim::Task<StatusOr<Bytes>> SoftNicTransport::Message(
 
   net::MessageFate resp = co_await fabric_.TransferFaulty(
       target, initiator,
-      config_.response_header_bytes + static_cast<int64_t>(response->size()),
+      kResponseHeaderBytes + static_cast<int64_t>(response->size()),
       span);
   if (!resp.delivered || resp.corrupt) {
     // The handler ran but the reply never reached the initiator: surfaces

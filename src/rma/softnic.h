@@ -17,23 +17,14 @@
 
 namespace cm::rma {
 
-struct SoftNicConfig : WireConfig {
+struct SoftNicConfig {
   // Engine service times.
   sim::Duration initiator_op_cost = sim::Nanoseconds(350);
   sim::Duration target_read_cost = sim::Nanoseconds(420);
   sim::Duration target_scar_cost = sim::Nanoseconds(520);
-  sim::Duration scar_per_entry_scan_cost = sim::Nanoseconds(8);
-  // Two-sided messaging: the engine must wake a server application thread.
-  sim::Duration target_msg_wake_cost = sim::Microseconds(2);
 
   int max_engines = 4;
   sim::Duration scale_window = sim::Milliseconds(1);
-  double scale_out_threshold = 0.80;   // window utilization to add an engine
-  double scale_in_threshold = 0.25;    // to retire one
-
-  // Each vector entry past the first adds an incremental slice of engine
-  // time, not a full service time: the amortization MultiGet exploits.
-  sim::Duration target_vector_entry_cost = sim::Nanoseconds(120);
 };
 
 // Engine group for one host.

@@ -101,12 +101,10 @@ void Flip(net::FaultPlan& faults, ScarResult& r) {
 
 OneSidedTransport::OneSidedTransport(net::Fabric& fabric,
                                      RmaNetwork& rma_network,
-                                     const char* label,
-                                     const WireConfig& wire)
+                                     const char* label)
     : fabric_(fabric),
       rma_network_(rma_network),
-      exports_(&fabric.metrics()),
-      wire_(wire) {
+      exports_(&fabric.metrics()) {
   // The struct fields stay the storage; the registry reads them at snapshot
   // time. A later transport on the same fabric rebinds the names (latest
   // wins).
@@ -122,7 +120,7 @@ sim::Time OneSidedTransport::ScarWorkDone(net::HostId,
 sim::Task<void> OneSidedTransport::TimedOut(trace::SpanId span) {
   ++stats_.failed_ops;
   ++stats_.op_timeouts;
-  co_await fabric_.simulator().Delay(wire_.op_timeout);
+  co_await fabric_.simulator().Delay(kOpTimeout);
   fabric_.tracer().End(span, -1);
 }
 
@@ -130,7 +128,7 @@ sim::Task<void> OneSidedTransport::Refused(net::HostId target,
                                            net::HostId initiator,
                                            trace::SpanId span) {
   ++stats_.failed_ops;
-  co_await fabric_.Transfer(target, initiator, wire_.response_header_bytes);
+  co_await fabric_.Transfer(target, initiator, kResponseHeaderBytes);
   fabric_.tracer().End(span, -1);
 }
 
@@ -165,8 +163,7 @@ sim::Task<StatusOr<Out>> OneSidedTransport::Run(net::HostId initiator,
   const sim::Time posted = sim.now();
   co_await sim.WaitUntil(PostDone(initiator));
   const net::MessageFate cmd = co_await fabric_.TransferFaulty(
-      initiator, target,
-      wire_.command_bytes + wire_.vector_entry_bytes * (n - 1), span);
+      initiator, target, kCommandBytes + kVectorEntryBytes * (n - 1), span);
   if (!cmd.delivered || cmd.corrupt) {
     co_await TimedOut(span);
     co_return DeadlineExceededError("rma command lost");
@@ -209,7 +206,7 @@ sim::Task<StatusOr<Out>> OneSidedTransport::Run(net::HostId initiator,
 
   const net::MessageFate resp = co_await fabric_.TransferFaulty(
       target, initiator,
-      wire_.response_header_bytes + (Rules::kVector ? 4 * n : 0) + payload,
+      kResponseHeaderBytes + (Rules::kVector ? 4 * n : 0) + payload,
       span);
   if (!resp.delivered) {
     co_await TimedOut(span);

@@ -95,17 +95,15 @@ struct ScarVEntry {
   uint64_t hash_lo = 0;
 };
 
-// Framing and loss timing of every one-sided transport (its config's base).
-struct WireConfig {
-  int64_t command_bytes = 64;
-  int64_t response_header_bytes = 32;
-  // Vectored ops (ReadV/ScanAndReadV) pay the doorbell and header once; each
-  // entry past the first adds only a descriptor on the wire.
-  int64_t vector_entry_bytes = 16;
-  // A command or completion lost in the fabric (fault injection) surfaces
-  // as a failed op this long after the loss.
-  sim::Duration op_timeout = sim::Milliseconds(1);
-};
+// Framing and loss timing of every one-sided transport.
+inline constexpr int64_t kCommandBytes = 64;
+inline constexpr int64_t kResponseHeaderBytes = 32;
+// Vectored ops (ReadV/ScanAndReadV) pay the doorbell and header once; each
+// entry past the first adds only a descriptor on the wire.
+inline constexpr int64_t kVectorEntryBytes = 16;
+// A command or completion lost in the fabric (fault injection) surfaces as
+// a failed op this long after the loss.
+inline constexpr sim::Duration kOpTimeout = sim::Milliseconds(1);
 
 // Transport counters, exported as cm.rma.<field>{transport=...}.
 #define CM_RMA_STATS(X)                                                    \
@@ -119,7 +117,7 @@ struct WireConfig {
   X(vector_entries)                                                        \
   X(failed_ops)                                                            \
   /* Fault-injection visibility: ops whose command/completion was lost and \
-     completed only by op_timeout, and payloads delivered with a bit flip  \
+     completed only by kOpTimeout, and payloads delivered with a bit flip  \
      (which only client-side validation can catch). */                     \
   X(op_timeouts)                                                           \
   X(corrupt_deliveries)                                                    \
@@ -208,7 +206,7 @@ class OneSidedTransport : public RmaTransport {
  protected:
   // Exports stats_ as cm.rma.<field>{transport=`label`}.
   OneSidedTransport(net::Fabric& fabric, RmaNetwork& rma_network,
-                    const char* label, const WireConfig& wire);
+                    const char* label);
 
   virtual sim::Time PostDone(net::HostId initiator) = 0;
   virtual sim::Time ReadWorkDone(net::HostId target,
@@ -221,7 +219,7 @@ class OneSidedTransport : public RmaTransport {
   virtual std::optional<sim::Time> CompletionDone(net::HostId initiator,
                                                   sim::Time posted) = 0;
 
-  // Failure tails: count the failed op and end its span after op_timeout
+  // Failure tails: count the failed op and end its span after kOpTimeout
   // (nothing ever completes) or a header-only refusal. They return nothing,
   // which keeps the awaiting op's coroutine frame small.
   sim::Task<void> TimedOut(trace::SpanId span);
@@ -238,8 +236,6 @@ class OneSidedTransport : public RmaTransport {
   template <class Out, class Request>
   sim::Task<StatusOr<Out>> Run(net::HostId initiator, net::HostId target,
                                Request request, trace::SpanId parent);
-
-  const WireConfig wire_;
 };
 
 }  // namespace cm::rma

@@ -1,6 +1,16 @@
 #include "rpc/rpc.h"
 
 namespace cm::rpc {
+namespace {
+// Client-side marshal + send-path framework cost.
+constexpr sim::Duration kClientSendCpu = sim::Microseconds(18);
+// Client-side receive-path + unmarshal cost.
+constexpr sim::Duration kClientRecvCpu = sim::Microseconds(8);
+// Wire overhead per message: framing, auth stamp, method name, tracing.
+constexpr int64_t kHeaderBytes = 128;
+// How long a client waits before declaring a dead server unreachable.
+constexpr sim::Duration kConnectTimeout = sim::Milliseconds(2);
+}  // namespace
 
 RpcServer::RpcServer(RpcNetwork& network, net::HostId host,
                      const RpcCostModel& costs)
@@ -36,11 +46,10 @@ sim::Task<StatusOr<Bytes>> RpcServer::Dispatch(net::HostId peer,
 }
 
 RpcChannel::RpcChannel(RpcNetwork& network, net::HostId client_host,
-                       net::HostId server_host, const RpcCostModel& costs)
+                       net::HostId server_host)
     : network_(network),
       client_host_(client_host),
-      server_host_(server_host),
-      costs_(costs) {}
+      server_host_(server_host) {}
 
 sim::Task<StatusOr<Bytes>> RpcChannel::Call(std::string method, Bytes request,
                                             sim::Duration deadline,
@@ -54,10 +63,9 @@ sim::Task<StatusOr<Bytes>> RpcChannel::Call(std::string method, Bytes request,
   const sim::Time deadline_at = start + deadline;
 
   // Client send path: marshal, auth stamp, transport bookkeeping.
-  co_await fabric.host(client_host_).cpu().Run(costs_.client_send_cpu);
+  co_await fabric.host(client_host_).cpu().Run(kClientSendCpu);
 
-  const auto req_bytes =
-      static_cast<int64_t>(request.size()) + costs_.header_bytes;
+  const auto req_bytes = static_cast<int64_t>(request.size()) + kHeaderBytes;
   net::MessageFate req_fate = co_await fabric.TransferFaulty(
       client_host_, server_host_, req_bytes, span);
 
@@ -67,9 +75,8 @@ sim::Task<StatusOr<Bytes>> RpcChannel::Call(std::string method, Bytes request,
     // establishes. The client burns its connect timeout (or the remaining
     // deadline, whichever is smaller). Callers treat Unavailable as a dead
     // replica and back off.
-    sim::Duration wait = std::min(costs_.connect_timeout,
-                                  std::max<sim::Duration>(
-                                      deadline_at - sim.now(), 0));
+    sim::Duration wait = std::min(
+        kConnectTimeout, std::max<sim::Duration>(deadline_at - sim.now(), 0));
     co_await sim.Delay(wait);
     network_.call_errors_->Inc();
     tracer.End(span, -1);
@@ -107,13 +114,13 @@ sim::Task<StatusOr<Bytes>> RpcChannel::Call(std::string method, Bytes request,
 
   int64_t resp_payload =
       response.ok() ? static_cast<int64_t>(response->size()) : 0;
-  const int64_t resp_bytes = resp_payload + costs_.header_bytes;
+  const int64_t resp_bytes = resp_payload + kHeaderBytes;
   server->total_bytes_ += resp_bytes;
   net::MessageFate resp_fate = co_await fabric.TransferFaulty(
       server_host_, client_host_, resp_bytes, span);
 
   // Client receive path.
-  co_await fabric.host(client_host_).cpu().Run(costs_.client_recv_cpu);
+  co_await fabric.host(client_host_).cpu().Run(kClientRecvCpu);
   if (!resp_fate.delivered || resp_fate.corrupt || resp_fate.partitioned) {
     // The server applied the call but the reply never arrived: the client
     // observes only a deadline expiry (ambiguity is the point — retries must

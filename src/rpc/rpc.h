@@ -25,17 +25,11 @@
 
 namespace cm::rpc {
 
+// The client side's costs are fixed (rpc.cc); a server's framework cost is
+// its own.
 struct RpcCostModel {
-  // Client-side marshal + send-path framework cost.
-  sim::Duration client_send_cpu = sim::Microseconds(18);
-  // Client-side receive-path + unmarshal cost.
-  sim::Duration client_recv_cpu = sim::Microseconds(8);
   // Server-side dispatch, auth (ALTS-like), unmarshal + marshal cost.
   sim::Duration server_framework_cpu = sim::Microseconds(26);
-  // Wire overhead per message: framing, auth stamp, method name, tracing.
-  int64_t header_bytes = 128;
-  // How long a client waits before declaring a dead server unreachable.
-  sim::Duration connect_timeout = sim::Milliseconds(2);
 };
 
 // A handler consumes a request payload and produces a response payload.
@@ -135,7 +129,7 @@ class RpcServer {
 class RpcChannel {
  public:
   RpcChannel(RpcNetwork& network, net::HostId client_host,
-             net::HostId server_host, const RpcCostModel& costs = {});
+             net::HostId server_host);
 
   // Issues a call: charges framework CPU on both hosts, transfers request
   // and response over the fabric, runs the handler coroutine server-side.
@@ -151,7 +145,6 @@ class RpcChannel {
   RpcNetwork& network_;
   net::HostId client_host_;
   net::HostId server_host_;
-  RpcCostModel costs_;
 };
 
 }  // namespace cm::rpc

@@ -24,10 +24,10 @@ TEST(MemoryRegistry, RegisterAndResolve) {
   std::vector<std::byte> buf(128, std::byte{7});
   VectorSource src(&buf);
   RegionId id = reg.Register(&src, buf.size());
-  auto copy = reg.ResolveCopy(id, 16, 32);
-  ASSERT_TRUE(copy.ok());
-  EXPECT_EQ(copy->size(), 32u);
-  EXPECT_EQ((*copy)[0], std::byte{7});
+  auto view = reg.ResolveView(id, 16, 32);
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(view->size(), 32u);
+  EXPECT_EQ((*view)[0], std::byte{7});
 }
 
 TEST(MemoryRegistry, OutOfBoundsRejected) {
@@ -35,9 +35,9 @@ TEST(MemoryRegistry, OutOfBoundsRejected) {
   std::vector<std::byte> buf(64);
   VectorSource src(&buf);
   RegionId id = reg.Register(&src, buf.size());
-  EXPECT_EQ(reg.ResolveCopy(id, 60, 10).status().code(),
+  EXPECT_EQ(reg.ResolveView(id, 60, 10).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_TRUE(reg.ResolveCopy(id, 60, 4).ok());
+  EXPECT_TRUE(reg.ResolveView(id, 60, 4).ok());
 }
 
 TEST(MemoryRegistry, OffsetsNearTheTopOfTheRangeDoNotWrap) {
@@ -49,8 +49,6 @@ TEST(MemoryRegistry, OffsetsNearTheTopOfTheRangeDoNotWrap) {
   RegionId id = reg.Register(&src, buf.size());
   const uint64_t near_top = UINT64_MAX - 3;
   EXPECT_EQ(reg.ResolveView(id, near_top, 8).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(reg.ResolveCopy(id, near_top, 8).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(reg.CheckAccess(id, near_top, 8).code(),
             StatusCode::kInvalidArgument);
@@ -67,13 +65,17 @@ TEST(MemoryRegistry, RevokedWindowDenied) {
   EXPECT_TRUE(reg.IsLive(id));
   reg.Revoke(id);
   EXPECT_FALSE(reg.IsLive(id));
-  EXPECT_EQ(reg.ResolveCopy(id, 0, 8).status().code(),
+  EXPECT_EQ(reg.ResolveView(id, 0, 8).status().code(),
             StatusCode::kPermissionDenied);
+  // Lease renewal re-admits the window under its original id.
+  reg.Restore(id);
+  EXPECT_TRUE(reg.IsLive(id));
+  EXPECT_TRUE(reg.ResolveView(id, 0, 8).ok());
 }
 
 TEST(MemoryRegistry, UnknownWindowDenied) {
   MemoryRegistry reg;
-  EXPECT_EQ(reg.ResolveCopy(42, 0, 8).status().code(),
+  EXPECT_EQ(reg.ResolveView(42, 0, 8).status().code(),
             StatusCode::kPermissionDenied);
 }
 
@@ -85,11 +87,11 @@ TEST(MemoryRegistry, OverlappingWindowsCoexist) {
   VectorSource src(&buf);
   RegionId small = reg.Register(&src, 128);
   RegionId large = reg.Register(&src, 256);
-  EXPECT_TRUE(reg.ResolveCopy(small, 0, 128).ok());
-  EXPECT_TRUE(reg.ResolveCopy(large, 128, 128).ok());
+  EXPECT_TRUE(reg.ResolveView(small, 0, 128).ok());
+  EXPECT_TRUE(reg.ResolveView(large, 128, 128).ok());
   reg.Revoke(small);
-  EXPECT_FALSE(reg.ResolveCopy(small, 0, 8).ok());
-  EXPECT_TRUE(reg.ResolveCopy(large, 0, 8).ok());
+  EXPECT_FALSE(reg.ResolveView(small, 0, 8).ok());
+  EXPECT_TRUE(reg.ResolveView(large, 0, 8).ok());
   EXPECT_EQ(reg.registrations(), 2);
 }
 
@@ -100,11 +102,11 @@ TEST(MemoryRegistry, WindowSeesLiveGrowth) {
   std::vector<std::byte> buf(64, std::byte{1});
   VectorSource src(&buf);
   RegionId id = reg.Register(&src, 128);  // window larger than current pool
-  EXPECT_FALSE(reg.ResolveCopy(id, 64, 8).ok());  // source rejects for now
+  EXPECT_FALSE(reg.ResolveView(id, 64, 8).ok());  // source rejects for now
   buf.resize(128, std::byte{2});
-  auto copy = reg.ResolveCopy(id, 64, 8);
-  ASSERT_TRUE(copy.ok());
-  EXPECT_EQ((*copy)[0], std::byte{2});
+  auto view = reg.ResolveView(id, 64, 8);
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ((*view)[0], std::byte{2});
 }
 
 // ---------------------------------------------------------------------------
