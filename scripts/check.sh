@@ -64,14 +64,20 @@ echo "== sim pins: sim-time bench scalars equal the committed baselines =="
 # Cell::AggregateBackendStats. bench_fig08_ads (batched vs naive MultiGet),
 # bench_fig14_unplanned_maint (doctor detection/MTTR, hedging) and
 # bench_domain_outage (availability dip, time back to quorum) were once
-# ratio-gated; as sim-time scalars they are pinned exactly here.
+# ratio-gated; as sim-time scalars they are pinned exactly here. The last
+# eight (SCAR ablation, geo, size CDF, SCAR incast, planned maintenance,
+# Pony ramp, read/write mix, value size) cover the read path and
+# maintenance; together they take ~55 s on 4 vCPUs.
 for bench in bench_ablation_quorum bench_fig06_languages \
              bench_fig11_preferred_backend bench_tenant_isolation \
              bench_fig16_17_1rma_ramp bench_ablation_assoc \
              bench_resharding bench_fig03_reshaping \
              bench_fig07_cpu_per_op bench_ablation_eviction \
              bench_fig08_ads bench_fig14_unplanned_maint \
-             bench_domain_outage; do
+             bench_domain_outage bench_ablation_scar bench_fig09_geo \
+             bench_fig10_size_cdf bench_fig12_scar_incast \
+             bench_fig13_planned_maint bench_fig15_pony_ramp \
+             bench_fig18_19_mix bench_fig20_value_size; do
   baseline="BENCH_${bench#bench_}.json"
   if ! diff <("$JQ" -S .scalars "${baseline}") \
             <(./build/bench/${bench} --json | "$JQ" -S .scalars); then

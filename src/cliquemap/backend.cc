@@ -202,7 +202,7 @@ void Backend::Start(uint32_t config_id) {
   eviction_ = MakeEvictionPolicy(
       config_.eviction, num_buckets_ * static_cast<size_t>(config_.ways),
       rng_.NextU64());
-  locations_.clear();
+  live_entries_ = 0;
   overflow_.clear();
   overflow_count_.clear();
   if (ledger_) ledger_->Clear();  // restart dropped every resident entry
@@ -370,26 +370,15 @@ ByteSpan Backend::BucketView(uint64_t bucket) const {
 }
 
 std::optional<int> Backend::FindFreeWay(uint64_t bucket) const {
-  ByteSpan span = BucketView(bucket);
+  const ByteSpan span = BucketView(bucket);
   for (int w = 0; w < config_.ways; ++w) {
-    IndexEntry e = DecodeIndexEntry(
-        span.subspan(kBucketHeaderSize + size_t(w) * kIndexEntrySize));
-    if (e.empty()) return w;
+    if (WayKeyhash(span, w).is_zero()) return w;
   }
   return std::nullopt;
 }
 
-IndexEntry Backend::ReadEntry(uint64_t bucket, int way) const {
-  return DecodeIndexEntry(index_->cspan().subspan(
-      bucket * BucketBytes(config_.ways) + kBucketHeaderSize +
-      size_t(way) * kIndexEntrySize));
-}
-
 void Backend::WriteEntry(uint64_t bucket, int way, const IndexEntry& entry) {
-  EncodeIndexEntry(
-      BucketSpan(bucket).subspan(kBucketHeaderSize +
-                                 size_t(way) * kIndexEntrySize),
-      entry);
+  EncodeIndexEntry(BucketSpan(bucket).subspan(WayOffset(way)), entry);
 }
 
 void Backend::ClearEntry(uint64_t bucket, int way) {
@@ -425,9 +414,10 @@ bool Backend::EvictOne(const EvictScope& scope) {
     std::vector<Hash128> candidates;
     if (scope.kind == EvictScope::kBucket) {
       candidates.reserve(static_cast<size_t>(config_.ways));
+      const ByteSpan span = BucketView(scope.bucket);
       for (int w = 0; w < config_.ways; ++w) {
-        const IndexEntry e = ReadEntry(scope.bucket, w);
-        if (!e.empty()) candidates.push_back(e.keyhash);
+        const Hash128 h = WayKeyhash(span, w);
+        if (!h.is_zero()) candidates.push_back(h);
       }
     } else {
       for (const Hash128& h : ledger_->keys(scope.tenant)) {
@@ -452,10 +442,13 @@ bool Backend::EvictOne(const EvictScope& scope) {
 
 std::optional<Backend::Resident> Backend::FindIndexed(
     const Hash128& hash) const {
-  const auto it = locations_.find(hash);
-  if (it == locations_.end()) return std::nullopt;
-  const IndexEntry e = ReadEntry(it->second.bucket, it->second.way);
-  return Resident{hash, e.version, &it->second, e.pointer, {}};
+  if (!index_) return std::nullopt;  // never started
+  const uint64_t bucket = BucketIndex(hash, num_buckets_);
+  const ByteSpan span = BucketView(bucket);
+  const int way = FindWay(span, config_.ways, hash);
+  if (way < 0) return std::nullopt;
+  const IndexEntry e = DecodeIndexEntry(span.subspan(WayOffset(way)));
+  return Resident{hash, e.version, Location{bucket, way}, e.pointer, {}};
 }
 
 std::optional<Backend::Resident> Backend::FindResident(
@@ -469,7 +462,7 @@ std::optional<Backend::Resident> Backend::FindResident(
                                  })
                   : overflow_.find(std::string(key));
   if (ov == overflow_.end()) return std::nullopt;
-  return Resident{hash, ov->second.version, nullptr, {}, ov};
+  return Resident{hash, ov->second.version, std::nullopt, {}, ov};
 }
 
 StatusOr<DataEntryView> Backend::ReadRecord(const Resident& r,
@@ -488,7 +481,7 @@ void Backend::RemoveResident(const Resident& r) {
     // the old pointer may still complete (ordered-before the eviction, §4.2).
     ClearEntry(r.slot->bucket, r.slot->way);
     FreeData(r.data);
-    locations_.erase(r.hash);
+    --live_entries_;
     eviction_->OnRemove(r.hash);
     if (ledger_) ledger_->Release(r.hash);
   } else {
@@ -520,8 +513,8 @@ Status Backend::BumpResident(const Resident& r, const VersionNumber& version) {
 
 void Backend::InsertIndexed(uint64_t bucket, int way, const IndexEntry& entry,
                             TenantId tenant) {
+  if (WayKeyhash(BucketView(bucket), way).is_zero()) ++live_entries_;
   WriteEntry(bucket, way, entry);
-  locations_[entry.keyhash] = Location{bucket, way};
   eviction_->OnInsert(entry.keyhash);
   if (ledger_) ledger_->Charge(tenant, entry.keyhash, entry.pointer.size);
 }
@@ -540,13 +533,18 @@ void Backend::InsertOverflow(std::string_view key, const Hash128& hash,
 template <typename OnResident, typename OnTombstone>
 void Backend::ForEachRecord(OnResident on_resident,
                             OnTombstone on_tombstone) const {
-  for (const auto& [hash, loc] : locations_) {
-    const IndexEntry e = ReadEntry(loc.bucket, loc.way);
-    on_resident(Resident{hash, e.version, &loc, e.pointer, {}});
+  for (uint64_t b = 0; b < num_buckets_; ++b) {
+    const ByteSpan span = BucketView(b);
+    for (int w = 0; w < config_.ways; ++w) {
+      if (WayKeyhash(span, w).is_zero()) continue;
+      const IndexEntry e = DecodeIndexEntry(span.subspan(WayOffset(w)));
+      on_resident(
+          Resident{e.keyhash, e.version, Location{b, w}, e.pointer, {}});
+    }
   }
   for (auto ov = overflow_.begin(); ov != overflow_.end(); ++ov) {
     on_resident(Resident{config_.hash_fn(ov->first), ov->second.version,
-                         nullptr, {}, ov});
+                         std::nullopt, {}, ov});
   }
   for (const auto& [hash, tomb] : tombstones_.entries()) {
     on_tombstone(hash, tomb);
@@ -614,8 +612,8 @@ sim::Task<void> Backend::ResizeIndex() {
   // make associativity conflicts rare (§4.2).
   auto new_buckets =
       static_cast<uint64_t>(double(num_buckets_) * kIndexGrowFactor);
+  // Entries move in the old index's (bucket, way) order.
   std::unique_ptr<IndexBuffer> new_index;
-  std::unordered_map<Hash128, Location> new_locations;
   std::vector<Hash128> unplaced;
   for (int attempt = 0; attempt < 4; ++attempt) {
     new_index = std::make_unique<IndexBuffer>(new_buckets *
@@ -625,32 +623,33 @@ sim::Task<void> Backend::ResizeIndex() {
                                             BucketBytes(config_.ways)),
                          BucketHeader{config_id_, false});
     }
-    new_locations.clear();
-    new_locations.reserve(locations_.size());
     unplaced.clear();
-    for (const auto& [hash, loc] : locations_) {
-      IndexEntry e = ReadEntry(loc.bucket, loc.way);
-      const uint64_t nb = BucketIndex(hash, new_buckets);
-      MutableByteSpan bspan = new_index->Mutable(
-          nb * BucketBytes(config_.ways), BucketBytes(config_.ways));
-      bool placed = false;
+    for (uint64_t b = 0; b < num_buckets_; ++b) {
+      const ByteSpan old = BucketView(b);
       for (int w = 0; w < config_.ways; ++w) {
-        MutableByteSpan espan =
-            bspan.subspan(kBucketHeaderSize + size_t(w) * kIndexEntrySize);
-        if (DecodeIndexEntry(espan).empty()) {
-          EncodeIndexEntry(espan, e);
-          new_locations[hash] = Location{nb, w};
-          placed = true;
-          break;
+        const Hash128 hash = WayKeyhash(old, w);
+        if (hash.is_zero()) continue;
+        MutableByteSpan bspan =
+            new_index->Mutable(BucketIndex(hash, new_buckets) *
+                                   BucketBytes(config_.ways),
+                               BucketBytes(config_.ways));
+        int nw = 0;
+        while (nw < config_.ways && !WayKeyhash(bspan, nw).is_zero()) ++nw;
+        if (nw == config_.ways) {
+          unplaced.push_back(hash);
+          continue;
         }
+        std::memcpy(bspan.data() + WayOffset(nw), old.data() + WayOffset(w),
+                    kIndexEntrySize);
       }
-      if (!placed) unplaced.push_back(hash);
     }
     if (unplaced.empty()) break;
     new_buckets *= 2;
   }
   // Anything still unplaced after repeated doubling is treated as an
   // associativity eviction (vanishingly rare at production geometries).
+  // Removing it from the old index leaves live_entries_ counting exactly
+  // the entries the new one holds.
   for (const Hash128& hash : unplaced) {
     RemoveResident(*FindIndexed(hash));
     ++stats_.evictions_assoc;
@@ -661,7 +660,6 @@ sim::Task<void> Backend::ResizeIndex() {
   registry_.Revoke(index_region_);
   index_ = std::move(new_index);
   num_buckets_ = new_buckets;
-  locations_ = std::move(new_locations);
   index_region_ = registry_.Register(index_.get(), index_->size());
   // A fenced backend must not grow new live windows: permission stays
   // revoked until the lease renews.
@@ -1236,17 +1234,18 @@ StatusOr<rma::ScarResult> Backend::ExecuteScar(uint64_t hash_hi,
   }
   rma::ScarResult result;
   result.bucket = index_->Defer(bucket_offset, bucket_len);
-  const Hash128 want{hash_hi, hash_lo};
-  for (int w = 0; w < config_.ways; ++w) {
-    const size_t at = kBucketHeaderSize + size_t(w) * kIndexEntrySize;
-    if (at + kIndexEntrySize > bucket.size()) break;
-    IndexEntry e = DecodeIndexEntry(bucket.subspan(at));
-    if (e.keyhash == want && !e.pointer.is_null()) {
-      // A torn pointer or mid-write entry surfaces to the client as a
-      // checksum failure. The client reads the data of one replica of R.
-      result.data = data_->Defer(e.pointer.offset, e.pointer.size);
-      break;
-    }
+  // Only the ways the window holds in full are scanned.
+  const int ways =
+      bucket.size() < kBucketHeaderSize
+          ? 0
+          : static_cast<int>(std::min<size_t>(
+                size_t(config_.ways),
+                (bucket.size() - kBucketHeaderSize) / kIndexEntrySize));
+  if (const int w = FindWay(bucket, ways, Hash128{hash_hi, hash_lo}); w >= 0) {
+    // A torn pointer or mid-write entry surfaces to the client as a
+    // checksum failure. The client reads the data of one replica of R.
+    const IndexEntry e = DecodeIndexEntry(bucket.subspan(WayOffset(w)));
+    result.data = data_->Defer(e.pointer.offset, e.pointer.size);
   }
   return result;
 }
@@ -1313,8 +1312,9 @@ sim::Task<void> Backend::RepairShardAgainstCohort(
   const CellView view = config_service_->view();
   const uint32_t n = view.num_shards();
 
-  // hash -> per-holder observation; index 0 = self, 1.. = cohort.
-  std::unordered_map<Hash128, std::vector<Observation_>> table;
+  // hash -> per-holder observation; index 0 = self, 1.. = cohort. Rows
+  // are repaired in ascending hash order.
+  std::map<Hash128, std::vector<Observation_>> table;
   const size_t holders = 1 + cohort.size();
   auto observe = [&](size_t holder, const proto::RepairRecord& rec) {
     auto& row = table[rec.keyhash];
@@ -1654,6 +1654,10 @@ size_t Backend::DropNonOwned(const CellView& view) {
 }
 
 uint64_t Backend::index_bytes() const { return index_ ? index_->size() : 0; }
+
+ByteSpan Backend::IndexBytes() const {
+  return index_ ? index_->cspan() : ByteSpan{};
+}
 
 std::optional<VersionNumber> Backend::LookupVersion(
     std::string_view key) const {

@@ -222,7 +222,8 @@ class Backend {
   net::HostId host() const { return host_; }
   uint32_t shard() const { return shard_; }
   uint32_t config_id() const { return config_id_; }
-  size_t live_entries() const { return locations_.size(); }
+  // Keys resident in an index slot (overflow entries not counted).
+  size_t live_entries() const { return live_entries_; }
   uint64_t num_buckets() const { return num_buckets_; }
   rma::RegionId index_region() const { return index_region_; }
   uint64_t data_populated() const { return slab_ ? slab_->populated() : 0; }
@@ -254,6 +255,9 @@ class Backend {
 
   // Direct (test-only) lookup of the stored version for a key.
   std::optional<VersionNumber> LookupVersion(std::string_view key) const;
+  // Direct (test-only) view of the index region: num_buckets() Buckets of
+  // BucketBytes(config().ways) bytes. Valid until the next mutation.
+  ByteSpan IndexBytes() const;
 
  private:
   // Memory sources ------------------------------------------------------
@@ -329,7 +333,6 @@ class Backend {
   MutableByteSpan BucketSpan(uint64_t bucket);
   ByteSpan BucketView(uint64_t bucket) const;
   std::optional<int> FindFreeWay(uint64_t bucket) const;
-  IndexEntry ReadEntry(uint64_t bucket, int way) const;
   void WriteEntry(uint64_t bucket, int way, const IndexEntry& entry);
   void ClearEntry(uint64_t bucket, int way);
   void SetOverflowFlag(uint64_t bucket, bool overflow);
@@ -353,7 +356,7 @@ class Backend {
   struct Resident {
     Hash128 hash;
     VersionNumber version;             // the stored version
-    const Location* slot = nullptr;    // index slot; null if overflow
+    std::optional<Location> slot;      // index slot; empty if overflow
     Pointer data;                      // the slot's DataEntry
     OverflowTable::const_iterator ov;  // the overflow entry when !slot
   };
@@ -361,7 +364,8 @@ class Backend {
   // searches the overflow table by hash (linear; the table is small).
   std::optional<Resident> FindResident(const Hash128& hash,
                                        std::string_view key = {}) const;
-  // The index half of FindResident: never touches the overflow table.
+  // The index half of FindResident: scans the key's own bucket with the
+  // NIC's match rule (FindWay); never touches the overflow table.
   std::optional<Resident> FindIndexed(const Hash128& hash) const;
   // Reads a resident's record. Index-resident views alias `buf`, which
   // the caller keeps alive while it uses them (DESIGN §6.7); overflow
@@ -374,7 +378,8 @@ class Backend {
   // Rewrites a resident's version in place (repair's version bump).
   Status BumpResident(const Resident& r, const VersionNumber& version);
   // Writes `entry` into a free slot or the key's own, recording it with the
-  // eviction policy and charging its bytes to `tenant`.
+  // eviction policy and charging its bytes to `tenant`. Filling a free slot
+  // counts one more live entry.
   void InsertIndexed(uint64_t bucket, int way, const IndexEntry& entry,
                      TenantId tenant);
   // Inserts or overwrites an overflow entry; a key is counted once, and a
@@ -382,8 +387,9 @@ class Backend {
   void InsertOverflow(std::string_view key, const Hash128& hash,
                       ByteSpan value, const VersionNumber& version,
                       TenantId tenant);
-  // Visits every resident (index, then overflow), then every cached
-  // tombstone; the callbacks must not mutate residency.
+  // Visits every index resident in ascending (bucket, way) order, then
+  // every overflow resident, then every cached tombstone; the callbacks
+  // must not mutate residency.
   template <typename OnResident, typename OnTombstone>
   void ForEachRecord(OnResident on_resident, OnTombstone on_tombstone) const;
 
@@ -474,8 +480,9 @@ class Backend {
   std::unique_ptr<AdmissionQueue> admission_;
   std::unique_ptr<TenantMemoryLedger> ledger_;
   TombstoneCache tombstones_;
-  // keyhash -> location, for O(1) eviction & repair snapshots.
-  std::unordered_map<Hash128, Location> locations_;
+  // Non-empty index ways: InsertIndexed, RemoveResident, Start and
+  // ResizeIndex keep it in step with the index.
+  size_t live_entries_ = 0;
   // Bucket-overflow side table (RPC-only service) and per-bucket counts.
   OverflowTable overflow_;
   std::unordered_map<uint64_t, int> overflow_count_;

@@ -1212,7 +1212,7 @@ sim::Task<std::optional<Client::VectorResult>> Client::AwaitVector(
   co_return b;
 }
 
-sim::Task<void> Client::ChargeIssue() {
+sim::CpuPool::RunAwaiter Client::ChargeIssue() {
   stats_.issue_cpu_ns += kIssueCpu;
   return fabric_.host(host_).cpu().Run(kIssueCpu);
 }
@@ -1242,14 +1242,10 @@ Status Client::DecodeBucketVote(ByteSpan bucket_bytes, uint32_t shard,
     return FailedPreconditionError("bucket config id mismatch");
   }
   vote->overflow = header.overflow;
-  for (uint32_t w = 0; w < ways; ++w) {
-    IndexEntry e = DecodeIndexEntry(bucket_bytes.subspan(
-        kBucketHeaderSize + size_t(w) * kIndexEntrySize));
-    if (e.keyhash == hash && !e.pointer.is_null()) {
-      vote->has_entry = true;
-      vote->entry = e;
-      break;
-    }
+  if (const int w = FindWay(bucket_bytes, static_cast<int>(ways), hash);
+      w >= 0) {
+    vote->has_entry = true;
+    vote->entry = DecodeIndexEntry(bucket_bytes.subspan(WayOffset(w)));
   }
   return OkStatus();
 }

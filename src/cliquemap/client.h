@@ -394,7 +394,7 @@ class Client {
   // Client-library CPU (Figs 6b, 7): one RMA op issued, one response
   // validated. ChargeValidate also records a "validate" child span of
   // `span` (none for kNoSpan).
-  sim::Task<void> ChargeIssue();
+  sim::CpuPool::RunAwaiter ChargeIssue();
   sim::Task<void> ChargeValidate(trace::SpanId span);
 
   // One GET attempt; kAborted-class results are retried by Get().

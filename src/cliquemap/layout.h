@@ -76,6 +76,31 @@ inline constexpr size_t BucketBytes(int ways) {
   return kBucketHeaderSize + static_cast<size_t>(ways) * kIndexEntrySize;
 }
 
+// Byte offset of a way's IndexEntry within its Bucket.
+inline constexpr size_t WayOffset(int way) {
+  return kBucketHeaderSize + static_cast<size_t>(way) * kIndexEntrySize;
+}
+
+// A way's KeyHash: two 8-byte loads, the rest of the entry left undecoded.
+inline Hash128 WayKeyhash(ByteSpan bucket, int way) {
+  const std::byte* p = bucket.data() + WayOffset(way);
+  return Hash128{LoadU64(p), LoadU64(p + 8)};
+}
+
+// The way scan of the NIC's SCAR, the client's vote decoder and the
+// backend's own lookups: the first of `ways` ways holding `hash` with a
+// non-null pointer, or -1. Only the matching way's region is read.
+inline int FindWay(ByteSpan bucket, int ways, const Hash128& hash) {
+  for (int w = 0; w < ways; ++w) {
+    // Byte 32 of an entry is its pointer.region.
+    if (WayKeyhash(bucket, w) == hash &&
+        LoadU32(bucket.data() + WayOffset(w) + 32) != rma::kInvalidRegion) {
+      return w;
+    }
+  }
+  return -1;
+}
+
 // ---------------------------------------------------------------------------
 // DataEntry: variable size.
 //   [ 0] key_len   u32

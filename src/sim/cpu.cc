@@ -24,11 +24,6 @@ Time CpuPool::Reserve(Duration work) {
   return end;
 }
 
-Task<void> CpuPool::Run(Duration work) {
-  Time end = Reserve(work);
-  co_await sim_.WaitUntil(end);
-}
-
 double CpuPool::InstantaneousUtilization() const {
   int busy = 0;
   for (Time t : busy_until_) {

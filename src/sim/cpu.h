@@ -6,11 +6,11 @@
 #ifndef CM_SIM_CPU_H_
 #define CM_SIM_CPU_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <vector>
 
 #include "sim/simulator.h"
-#include "sim/task.h"
 #include "sim/time.h"
 
 namespace cm::sim {
@@ -26,9 +26,21 @@ class CpuPool {
  public:
   CpuPool(Simulator& sim, const CpuConfig& config);
 
-  // Queues `work` of CPU time onto the earliest-free core and suspends the
-  // caller until it completes.
-  Task<void> Run(Duration work);
+  // Awaitable: queues `work` of CPU time onto the earliest-free core when
+  // the caller suspends, and resumes the caller when the work completes.
+  // It runs no coroutine of its own (no frame to allocate) and is
+  // trivially destructible, so gcc 12's double destruction of awaiter
+  // temporaries (sim/sync.h) cannot touch it.
+  struct [[nodiscard]] RunAwaiter {
+    CpuPool* pool;
+    Duration work;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      pool->sim_.ScheduleAt(pool->Reserve(work), h);
+    }
+    void await_resume() const noexcept {}
+  };
+  RunAwaiter Run(Duration work) { return RunAwaiter{this, work}; }
 
   // Reserves CPU time without suspending (for modeled background load whose
   // completion nobody awaits). Returns completion time.

@@ -2,10 +2,12 @@
 // growth, overflow fallback — driven through real cells.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "cliquemap/cell.h"
 #include "common/rng.h"
@@ -568,6 +570,28 @@ ClientConfig TenantOne() {
   return cc;
 }
 
+// The keyhashes of an index's non-empty ways in ascending (bucket, way)
+// order, read from the raw region. Fails the test if a key sits outside
+// its own BucketIndex bucket.
+std::vector<Hash128> IndexWalk(const Backend& b) {
+  const ByteSpan index = b.IndexBytes();
+  const int ways = b.config().ways;
+  std::vector<Hash128> out;
+  for (uint64_t bucket = 0; bucket < b.num_buckets(); ++bucket) {
+    const ByteSpan span =
+        index.subspan(bucket * BucketBytes(ways), BucketBytes(ways));
+    for (int w = 0; w < ways; ++w) {
+      const IndexEntry e = DecodeIndexEntry(
+          span.subspan(kBucketHeaderSize + size_t(w) * kIndexEntrySize));
+      if (e.empty()) continue;
+      EXPECT_EQ(BucketIndex(e.keyhash, b.num_buckets()), bucket)
+          << "way " << w;
+      out.push_back(e.keyhash);
+    }
+  }
+  return out;
+}
+
 TEST_F(BackendFixture, BookkeepingMirrorsResidency) {
   CellOptions o = TenantOverflowCell();
   o.backend.data_initial_bytes = 64 * 1024;
@@ -607,6 +631,8 @@ TEST_F(BackendFixture, BookkeepingMirrorsResidency) {
     }
     ASSERT_EQ(b.eviction_policy().tracked(), b.live_entries()) << "op " << op;
     ASSERT_EQ(ledger->tracked(), b.live_entries()) << "op " << op;
+    ASSERT_EQ(IndexWalk(b).size(), b.live_entries()) << "op " << op;
+    ASSERT_FALSE(HasFailure()) << "op " << op;
   }
   // The sequence reached every path that moves a key in or out.
   EXPECT_GT(b.stats().overflow_inserts, 0);
@@ -615,6 +641,49 @@ TEST_F(BackendFixture, BookkeepingMirrorsResidency) {
   EXPECT_GT(b.stats().evictions_tenant, 0);
   EXPECT_GT(b.stats().erases_applied, 0);
   EXPECT_GT(b.stats().touches_ingested, 0);
+}
+
+// Every record walk (SnapshotBulk here; repair pulls, MigrateTo and
+// DropNonOwned share it) lists the index residents in ascending (bucket,
+// way) order, then the overflow residents, then the tombstones.
+TEST_F(BackendFixture, RecordWalkFollowsIndexOrder) {
+  CellOptions o = TinyCell();
+  o.backend.initial_buckets = 16;
+  o.backend.ways = 2;
+  o.backend.index_load_limit = 2.0;  // never reshape: overflow stays put
+  o.backend.rpc_fallback_on_overflow = true;
+  Init(std::move(o));
+  Backend& b = cell->backend(0);
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(Set("w" + std::to_string(i), 32).ok()) << i;
+  }
+  for (int i = 0; i < 60; i += 7) {
+    ASSERT_TRUE(Erase("w" + std::to_string(i)).ok()) << i;
+  }
+  ASSERT_EQ(b.stats().index_resizes, 0);
+
+  const std::vector<Hash128> index = IndexWalk(b);
+  ASSERT_EQ(index.size(), b.live_entries());
+  const std::vector<proto::BulkRecord> snapshot = b.SnapshotBulk();
+  ASSERT_GE(snapshot.size(), index.size());
+  size_t at = 0;
+  for (; at < index.size(); ++at) {
+    EXPECT_FALSE(snapshot[at].erased) << at;
+    EXPECT_EQ(HashKey(snapshot[at].key), index[at]) << at;
+  }
+  size_t overflow = 0;
+  for (; at < snapshot.size() && !snapshot[at].erased; ++at, ++overflow) {
+    EXPECT_EQ(std::find(index.begin(), index.end(), HashKey(snapshot[at].key)),
+              index.end())
+        << snapshot[at].key << " is in the index too";
+  }
+  size_t tombstones = 0;
+  for (; at < snapshot.size(); ++at, ++tombstones) {
+    EXPECT_TRUE(snapshot[at].erased) << at;
+  }
+  EXPECT_GT(overflow, 0u);
+  EXPECT_EQ(tombstones, 9u);  // w0, w7, ..., w56
+  EXPECT_EQ(index.size() + overflow + tombstones, 60u);
 }
 
 // A key that overflowed and was later promoted into a grown index is
